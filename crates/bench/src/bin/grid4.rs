@@ -90,7 +90,7 @@ fn print_table(title: &str, perfs: &[Grid4Perf]) {
     let evaluated: usize = perfs.iter().map(|p| p.stats.evaluated).sum();
     println!(
         "suite: {candidates} candidates, {evaluated} evaluated ({} skipped, {:.1}%), \
-         exhaustive {:.1} ms, pruned {:.1} ms ({:.2}x), parallel {:.1} ms ({:.2}x)",
+         exhaustive {:.1} ms, pruned {:.1} ms ({:.2}x), par {:.1} ms ({:.2}x)",
         candidates - evaluated,
         100.0 * (candidates - evaluated) as f64 / candidates.max(1) as f64,
         exhaustive * 1e3,
@@ -274,6 +274,17 @@ fn run() -> Result<(), MhlaError> {
         return budget_smoke(&opts);
     }
     let parallel = opts.parallel;
+    // The tables always time both prune schedulers; only the frontier
+    // run at the end follows MHLA_SWEEP_PARALLEL. Say which ran how.
+    let waves = PruneOptions::default();
+    println!(
+        "settings: pruned = sequential (wave 1); par = frontier waves (parallel {}, wave {}, \
+         {} threads available); frontier run parallel {parallel} (MHLA_SWEEP_PARALLEL)",
+        waves.parallel,
+        waves.wave,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    );
+    println!();
 
     let cycles = measure_grid4_perf(3);
     print_table(

@@ -427,7 +427,7 @@ pub fn greedy_portfolio_seeded(
 }
 
 /// [`greedy_portfolio_seeded`] drawing every scratch buffer from `ws` —
-/// the allocation-free per-point search of the sweep engines. A fresh
+/// the workspace-reusing per-point search of the sweep engines. A fresh
 /// workspace reproduces the allocating path exactly; a warm (reused)
 /// workspace is bit-identical because every buffer is fully reset or
 /// invalidated before use (the trial cache by `home = None`, since the

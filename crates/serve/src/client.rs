@@ -11,30 +11,36 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a running server.
+    /// Connects to a running server, with `TCP_NODELAY` set: each request
+    /// is one complete frame, so Nagle's coalescing would only hold it back
+    /// until the server's delayed ACK.
     ///
     /// # Errors
     ///
-    /// [`io::Error`] from the connect.
+    /// [`io::Error`] from the connect or from setting the option.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            stream: TcpStream::connect(addr)?,
+            stream,
             pending: Vec::new(),
         })
     }
 
-    /// Sends one request line and blocks for its response line (without
-    /// the trailing newline). The connection stays open — NDJSON carries
-    /// any number of request/response pairs.
+    /// Sends one request line — the line and its `\n` in a single write —
+    /// and blocks for its response line (without the trailing newline).
+    /// The connection stays open — NDJSON carries any number of
+    /// request/response pairs.
     ///
     /// # Errors
     ///
     /// [`io::Error`] from the transport; [`ErrorKind::UnexpectedEof`]
     /// when the server closes before answering.
     pub fn roundtrip(&mut self, line: &str) -> io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.stream.write_all(&frame)?;
         self.read_line()
     }
 

@@ -20,11 +20,17 @@
 //!   analysis paid once per program, shared across requests via
 //!   [`mhla_core::explore::try_sweep_grid_run_in`]), counters, and the
 //!   graceful-shutdown flag wired into every in-flight budget;
-//! * [`server`] — the [`std::net::TcpListener`] shell: accept loop,
+//! * [`server`] — the [`std::net::TcpListener`] shell: a blocking accept
+//!   loop (woken by a loopback connection once the server drains),
 //!   per-connection NDJSON framing, a bounded job queue feeding a worker
 //!   pool, and a drain-to-certified-partial-frontiers shutdown;
 //! * [`client`] — the minimal blocking client the CLI's `submit`,
 //!   `status` and `shutdown` subcommands use.
+//!
+//! Both ends set `TCP_NODELAY` and send each line with its `\n` in one
+//! write: the protocol is strict request/response, so a round trip costs
+//! the service time plus loopback latency, with no Nagle/delayed-ACK
+//! stall.
 //!
 //! Everything is hand-rolled on `std` — no async runtime, no serde, no
 //! new dependencies — matching the workspace's offline-container

@@ -4,11 +4,15 @@
 //! Dependency-free networking over [`std::net::TcpListener`]. The
 //! threading model:
 //!
-//! * one **accept loop** (non-blocking, polling the drain flag) spawns a
-//!   handler thread per connection;
+//! * one **accept loop** blocks in `accept` and spawns a handler thread
+//!   per connection; once the server drains, a one-off connection to the
+//!   listener wakes it so it can see the drain flag and exit;
 //! * each **handler** frames NDJSON request lines (own buffer scan — no
 //!   `BufReader`, so read timeouts never lose partial lines), pushes jobs
-//!   onto the **bounded queue** and writes the responses back;
+//!   onto the **bounded queue** and writes each response back as a single
+//!   write of the line and its `\n`, with `TCP_NODELAY` set — the protocol
+//!   is strict request/response, so Nagle's coalescing would only hold
+//!   each frame back until the peer's delayed ACK;
 //! * a fixed **worker pool** drains the queue through
 //!   [`Service::handle_line`] — the sweep inside then fans out further
 //!   over the engine's own rayon pool.
@@ -19,10 +23,12 @@
 //! unrecoverable). Graceful shutdown (`{"op":"shutdown"}`) stops the
 //! accept loop, cancels in-flight sweeps through the shared budget flag —
 //! they stop at certified partial frontiers and still answer — drains the
-//! queue, and joins every thread.
+//! queue, and joins every thread: the handler that answered the request
+//! wakes the blocked accept loop, and [`Server::join`] does the same for a
+//! drain begun directly through [`Service::begin_shutdown`].
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -52,7 +58,7 @@ impl Default for ServerOptions {
     }
 }
 
-/// How often blocked loops poll the drain flag.
+/// How often an idle connection handler polls the drain flag.
 const POLL: Duration = Duration::from_millis(50);
 
 /// One queued request: the raw line plus the handler's reply channel.
@@ -79,7 +85,6 @@ impl Server {
     /// [`io::Error`] from binding or configuring the listener.
     pub fn bind(addr: impl ToSocketAddrs, opts: ServerOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let service = Arc::new(Service::new(ServiceOptions {
             cache_bytes: opts.cache_bytes,
@@ -125,7 +130,14 @@ impl Server {
     /// exited (it watches the drain flag a `shutdown` request raises),
     /// every connection has closed, the queue has drained and every
     /// worker has exited.
+    ///
+    /// A drain begun through [`Service::begin_shutdown`] before this call
+    /// is noticed at once (this wakes the accept loop); one begun that way
+    /// while `join` already blocks is noticed at the next connection.
     pub fn join(mut self) {
+        if self.service.is_draining() {
+            wake_accept(self.addr);
+        }
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -159,8 +171,14 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, service: &Arc<Service>) {
 
 fn accept_loop(listener: &TcpListener, service: &Arc<Service>, tx: &SyncSender<Job>) {
     let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !service.is_draining() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // A drain wakes this blocking accept with a throwaway connection
+        // (see `wake_accept`); anything accepted once draining is dropped.
+        if service.is_draining() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let service = Arc::clone(service);
                 let tx = tx.clone();
@@ -168,7 +186,7 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>, tx: &SyncSender<J
                     handle_connection(stream, &service, &tx);
                 }));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(POLL),
+            // Out of descriptors and the like: back off instead of spinning.
             Err(_) => thread::sleep(POLL),
         }
         handlers.retain(|h| !h.is_finished());
@@ -178,14 +196,30 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>, tx: &SyncSender<J
     }
 }
 
+/// Wakes an accept loop blocked on `addr` by connecting to it once; the
+/// loop then sees the drain flag and exits. A refused connection means the
+/// listener is already gone, which is just as good. A listener bound to an
+/// unspecified address (`0.0.0.0`, `::`) is reached through loopback,
+/// since not every platform accepts a connect to the unspecified address.
+fn wake_accept(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect(SocketAddr::new(ip, addr.port()));
+}
+
 /// Frames NDJSON lines off one connection and round-trips each through
 /// the job queue. Exits on EOF, an unrecoverable framing error, a write
-/// failure, or (when idle) a draining server.
+/// failure, or (when idle) a draining server. The first answer given
+/// while the server drains wakes the accept loop.
 fn handle_connection(stream: TcpStream, service: &Arc<Service>, tx: &SyncSender<Job>) {
     let mut stream = stream;
-    if stream.set_read_timeout(Some(POLL)).is_err() {
+    if stream.set_read_timeout(Some(POLL)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
+    let mut woke = false;
     let mut pending: Vec<u8> = Vec::new();
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -197,13 +231,16 @@ fn handle_connection(stream: TcpStream, service: &Arc<Service>, tx: &SyncSender<
             if line.is_empty() {
                 continue;
             }
-            let response = dispatch(line, tx);
-            if stream
-                .write_all(response.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
+            let mut response = dispatch(line, tx);
+            response.push('\n');
+            let sent = stream.write_all(response.as_bytes()).is_ok();
+            if !woke && service.is_draining() {
+                woke = true;
+                if let Ok(addr) = stream.local_addr() {
+                    wake_accept(addr);
+                }
+            }
+            if !sent {
                 return;
             }
         }
@@ -213,9 +250,9 @@ fn handle_connection(stream: TcpStream, service: &Arc<Service>, tx: &SyncSender<
             let e = ErrorBody::bad_request(format!(
                 "request line exceeds the {MAX_REQUEST_BYTES}-byte cap"
             ));
-            let _ = stream.write_all(error_line(&e).as_bytes());
-            let _ = stream.write_all(b"\n");
-            let _ = stream.flush();
+            let mut response = error_line(&e);
+            response.push('\n');
+            let _ = stream.write_all(response.as_bytes());
             return;
         }
         match stream.read(&mut buf) {
@@ -274,10 +311,6 @@ pub fn serve(
 ) -> io::Result<()> {
     let server = Server::bind(addr, opts)?;
     on_ready(server.addr());
-    // Park until the drain flag rises, then join everything.
-    while !server.service().is_draining() {
-        thread::sleep(POLL);
-    }
     server.join();
     Ok(())
 }

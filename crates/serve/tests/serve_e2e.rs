@@ -12,10 +12,20 @@
 //!   connection (and process) stays alive for the next request;
 //! * a **budget-stopped** partial result is *not* cached;
 //! * **graceful shutdown** acknowledges, drains, and `Server::join`
-//!   returns with the listener closed.
+//!   returns with the listener closed — also when the drain begins
+//!   while no connection is open or while `join` already blocks;
+//! * the transport adds no **latency floor**: cache-hit round trips and
+//!   the first round trip after binding finish far below the ~40 ms
+//!   delayed-ACK timer that Nagle's algorithm would wait on;
+//! * NDJSON **framing** is independent of how the bytes arrive:
+//!   pipelined lines are answered in order, a line split across writes
+//!   is answered once.
 
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use mhla_core::explore::{try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla_core::fingerprint::{platform_fingerprint, program_fingerprint};
@@ -336,4 +346,200 @@ fn oversized_request_line_gets_one_bad_request_then_close() {
 
     mhla_serve::request_once(server.addr(), "{\"op\":\"shutdown\"}").expect("shutdown");
     server.join();
+}
+
+/// The latency bound of the transport tests: far above an in-process
+/// cache hit (well under a millisecond in release builds), far below the
+/// >= 40 ms delayed-ACK timer a Nagle-held frame waits on.
+const LATENCY_BOUND: Duration = Duration::from_millis(20);
+
+/// How long the drain tests wait for `Server::join` before failing.
+const JOIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Reads one `\n`-terminated line (without the terminator) off a raw
+/// connection, failing instead of hanging if none arrives.
+fn read_raw_line(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read a response line");
+    assert!(line.ends_with('\n'), "unterminated response {line:?}");
+    line.pop();
+    line
+}
+
+fn raw_connection(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    (stream, reader)
+}
+
+/// Runs `server.join()` on a helper thread, returning once the helper is
+/// about to call it; the receiver fires when `join` returns. The helper
+/// is left detached so that a wake regression fails the test on a
+/// timeout instead of hanging the suite.
+fn join_in_background(server: Server) -> mpsc::Receiver<()> {
+    let (started_tx, started_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = started_tx.send(());
+        server.join();
+        let _ = done_tx.send(());
+    });
+    started_rx.recv().expect("the join helper starts");
+    done_rx
+}
+
+fn requests_counter(status_line: &str) -> u64 {
+    match Response::parse(status_line).expect("parse status") {
+        Response::Other(status) => {
+            let o = status.as_object("status").unwrap();
+            field(o, "requests", "status")
+                .unwrap()
+                .as_u64("requests")
+                .unwrap()
+        }
+        _ => panic!("expected a status body, got {status_line}"),
+    }
+}
+
+#[test]
+fn cache_hit_round_trips_stay_under_the_latency_floor() {
+    let app = mhla_apps::fir_bank::app();
+    let platform = Platform::three_level(1024, 256);
+    let server = small_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let line = explore_line(&app.program, &platform, vec![]);
+    let cold = client.roundtrip(&line).expect("cold roundtrip");
+    assert!(cold.starts_with("{\"ok\":true,\"cached\":false,"), "{cold}");
+
+    let mut samples = Vec::new();
+    for _ in 0..25 {
+        let t = Instant::now();
+        let warm = client.roundtrip(&line).expect("warm roundtrip");
+        samples.push(t.elapsed());
+        assert!(warm.starts_with("{\"ok\":true,\"cached\":true,"), "{warm}");
+    }
+    let p50 = median(samples);
+    assert!(
+        p50 < LATENCY_BOUND,
+        "median cache-hit round trip {p50:?} is not under {LATENCY_BOUND:?}"
+    );
+
+    client.roundtrip("{\"op\":\"shutdown\"}").expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn first_round_trip_after_bind_is_not_held_by_the_accept_loop() {
+    let server = small_server();
+    // Let the accept loop reach its idle state first: a loop that polled
+    // `accept` and slept between polls would now be asleep.
+    thread::sleep(Duration::from_millis(10));
+    let t = Instant::now();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let status = client.roundtrip("{\"op\":\"status\"}").expect("status");
+    let first = t.elapsed();
+    assert!(status.contains("\"ok\":true"), "got {status}");
+    assert!(
+        first < LATENCY_BOUND,
+        "first round trip {first:?} is not under {LATENCY_BOUND:?}"
+    );
+
+    client.roundtrip("{\"op\":\"shutdown\"}").expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn pipelined_lines_are_answered_in_order_like_sequential_round_trips() {
+    let app = mhla_apps::fir_bank::app();
+    let platform = Platform::three_level(1024, 256);
+    let line = explore_line(&app.program, &platform, vec![]);
+    // A miss, the hit it seeds, and a malformed line.
+    let lines = [line.as_str(), line.as_str(), "{\"op\":\"fly\"}"];
+
+    let sequential_server = small_server();
+    let mut client = Client::connect(sequential_server.addr()).expect("connect");
+    let sequential: Vec<String> = lines
+        .iter()
+        .map(|l| client.roundtrip(l).expect("sequential roundtrip"))
+        .collect();
+    client.roundtrip("{\"op\":\"shutdown\"}").expect("shutdown");
+    sequential_server.join();
+
+    let pipelined_server = small_server();
+    let (mut stream, mut reader) = raw_connection(&pipelined_server);
+    let mut batch = lines.join("\n");
+    batch.push('\n');
+    stream.write_all(batch.as_bytes()).expect("one write");
+    let pipelined: Vec<String> = lines.iter().map(|_| read_raw_line(&mut reader)).collect();
+    assert_eq!(
+        pipelined, sequential,
+        "three lines in one write must get the three sequential answers, in order"
+    );
+
+    stream
+        .write_all(b"{\"op\":\"shutdown\"}\n")
+        .expect("shutdown");
+    read_raw_line(&mut reader);
+    pipelined_server.join();
+}
+
+#[test]
+fn a_line_split_across_two_writes_is_answered_once() {
+    let server = small_server();
+    let (mut stream, mut reader) = raw_connection(&server);
+    stream.write_all(b"{\"op\":\"sta").expect("first half");
+    // Longer than the handler's idle read timeout, so the half line sits
+    // in its buffer across at least one timed-out read.
+    thread::sleep(Duration::from_millis(150));
+    stream.write_all(b"tus\"}\n").expect("second half");
+    assert_eq!(requests_counter(&read_raw_line(&mut reader)), 1);
+
+    // Had the split line been answered twice (or as two fragments), this
+    // would read a stale answer or count more requests.
+    stream
+        .write_all(b"{\"op\":\"status\"}\n")
+        .expect("next line");
+    assert_eq!(requests_counter(&read_raw_line(&mut reader)), 2);
+
+    stream
+        .write_all(b"{\"op\":\"shutdown\"}\n")
+        .expect("shutdown");
+    read_raw_line(&mut reader);
+    server.join();
+}
+
+#[test]
+fn join_returns_after_a_direct_drain_with_no_connection_open() {
+    let server = small_server();
+    server.service().begin_shutdown();
+    join_in_background(server)
+        .recv_timeout(JOIN_TIMEOUT)
+        .expect("join must return once the service drains");
+}
+
+#[test]
+fn shutdown_request_wakes_a_join_that_already_blocks() {
+    let server = small_server();
+    let addr = server.addr();
+    let done = join_in_background(server);
+    // The helper is about to call `join`; this pause makes it very likely
+    // to block there before the drain begins (`join` also returns if the
+    // request wins the race, through its own wake).
+    thread::sleep(Duration::from_millis(100));
+    assert!(done.try_recv().is_err(), "join returned before any drain");
+
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .roundtrip("{\"op\":\"shutdown\"}")
+        .expect("shutdown ack");
+    done.recv_timeout(JOIN_TIMEOUT)
+        .expect("join must return after a shutdown request");
 }

@@ -14,10 +14,10 @@
 //! *whole-sweep* average per evaluated point, so it includes the
 //! per-sweep analysis (reuse chains, program facts, move space) and the
 //! per-point result assembly (assignments, breakdowns, TE schedules,
-//! run stats) — the hot search loop itself is allocation-free, which is
-//! what pins the average this low. A regression that reintroduces
-//! per-candidate or per-point scratch allocation blows the bound by an
-//! order of magnitude.
+//! run stats) — the search loop's scratch comes from the reused
+//! workspace, which is what keeps the average this low. A regression
+//! that reintroduces per-candidate or per-point scratch allocation blows
+//! the bound by an order of magnitude.
 
 #![cfg(feature = "alloc-counter")]
 
