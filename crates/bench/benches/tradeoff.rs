@@ -5,15 +5,18 @@
 //! * `tradeoff_cold/*` — the frozen pre-optimization reference
 //!   ([`mhla_core::explore::sweep_cold`]): sequential, re-analyzed per
 //!   point, every candidate move priced with the full `evaluate` oracle;
-//! * `tradeoff_fast/*` — the production path
-//!   ([`mhla_core::explore::sweep`]): shared analysis + move space,
-//!   incremental move pricing, warm-started portfolio, parallel chunks.
+//! * `tradeoff_fast/*` — the production path (the 1-axis
+//!   [`mhla_core::explore::try_sweep_grid_run`]): shared analysis + move
+//!   space, incremental move pricing, warm-started portfolio, parallel
+//!   chunks.
 //!
 //! Prints the per-app and suite speedups (the PR target is ≥5× suite-wide)
 //! with a per-app equivalence verdict from [`mhla_bench::measure_sweep_perf`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhla_core::explore::{default_capacities, sweep, sweep_cold};
+use mhla_core::explore::{
+    default_capacities, sweep_cold, try_sweep_grid_run, GridAxis, GridSweep, SweepOptions,
+};
 use mhla_core::MhlaConfig;
 use mhla_hierarchy::{LayerId, Platform};
 use std::hint::black_box;
@@ -22,24 +25,30 @@ fn bench_tradeoff(c: &mut Criterion) {
     let apps = mhla_bench::sweep_suite();
     let platform = Platform::embedded_default(1024);
     let caps = default_capacities();
+    let axes = [GridAxis::new(LayerId(1), caps.clone())];
+    let sweep = |program| -> GridSweep {
+        try_sweep_grid_run(
+            program,
+            &platform,
+            &axes,
+            &MhlaConfig::default(),
+            &SweepOptions::default(),
+        )
+        .expect("capacity sweep")
+        .sweep
+    };
 
     // Print the Pareto fronts once (path equivalence is asserted by
     // measure_sweep_perf's verdict below and by tests/sweep_equivalence.rs).
     for app in &apps {
-        let fast = sweep(
-            &app.program,
-            &platform,
-            LayerId(1),
-            &caps,
-            &MhlaConfig::default(),
-        );
+        let fast = sweep(&app.program);
         let front = fast.pareto_cycles();
         println!(
             "\n{} Pareto (capacity, cycles): {:?}",
             app.name(),
             front
                 .iter()
-                .map(|&i| (fast.points[i].capacity, fast.points[i].cycles()))
+                .map(|&i| (fast.points[i].capacities[0], fast.points[i].cycles()))
                 .collect::<Vec<_>>()
         );
     }
@@ -65,15 +74,7 @@ fn bench_tradeoff(c: &mut Criterion) {
     group.sample_size(10);
     for app in &apps {
         group.bench_function(app.name().to_string(), |b| {
-            b.iter(|| {
-                black_box(sweep(
-                    black_box(&app.program),
-                    black_box(&platform),
-                    LayerId(1),
-                    &caps,
-                    &MhlaConfig::default(),
-                ))
-            });
+            b.iter(|| black_box(sweep(black_box(&app.program))));
         });
     }
     group.finish();

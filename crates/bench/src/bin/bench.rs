@@ -6,11 +6,11 @@
 //!
 //! Run with `cargo run --release -p mhla-bench --bin bench`.
 //!
-//! Tuning knobs (the many-core chunking experiment — results are
-//! identical for every setting, only wall time moves):
+//! Tuning knob (the fan-out experiment — results are identical for
+//! either setting, only wall time moves):
 //!
-//! * `MHLA_SWEEP_CHUNK=<n>` — points per warm-started chunk (default 4).
-//! * `MHLA_SWEEP_PARALLEL=0` — disable the thread fan-out.
+//! * `MHLA_SWEEP_PARALLEL=0` — disable the thread fan-out over the
+//!   warm-started chunks of `SWEEP_CHUNK` points.
 //!
 //! Malformed values are rejected with a typed [`MhlaError`] on stderr
 //! (exit code 2) — a typo'd tuning run must not silently measure the
@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use mhla_bench::{
     measure_sweep_perf_with, prev_suite_value, sweep_options_from_env, sweep_perf_json,
 };
-use mhla_core::explore::SweepOptions;
+use mhla_core::explore::{SweepOptions, SWEEP_CHUNK};
 use mhla_core::MhlaError;
 
 /// With `--features alloc-counter`, every measurement row also reports
@@ -47,8 +47,8 @@ fn run() -> Result<(), MhlaError> {
 
     println!("tradeoff sweep: cold (oracle, sequential) vs fast (incremental, warm, parallel)");
     println!(
-        "options: chunk {} parallel {} (MHLA_SWEEP_CHUNK / MHLA_SWEEP_PARALLEL to tune)",
-        opts.chunk, opts.parallel
+        "options: chunk {SWEEP_CHUNK} parallel {} (MHLA_SWEEP_PARALLEL to tune)",
+        opts.parallel
     );
     println!(
         "{:<18} {:>7} {:>12} {:>12} {:>9} {:>12} {:>8} {:>8}",

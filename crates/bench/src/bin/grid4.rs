@@ -1,5 +1,5 @@
 //! Pruned four-level grid-sweep tracker: measures the pruned L1×L2×L3
-//! grid sweep (`mhla_core::explore::sweep_grid_pruned_with`) against the
+//! grid sweep (`mhla_core::explore::try_sweep_grid_pruned_with`) against the
 //! exhaustive Cartesian product over the eight-application suite on
 //! `Platform::four_level_default` — under both the cycles and the energy
 //! objective, in both the sequential and the frontier-wave parallel mode
@@ -28,8 +28,8 @@ use mhla_bench::{
     write_results, Grid4Perf, Grid4Refine, ImprovingGrid4Perf,
 };
 use mhla_core::explore::{
-    sweep_grid_pruned_with, try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, PruneOptions,
-    SweepOptions, SweepStatus,
+    try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, PruneOptions, SweepOptions,
+    SweepStatus, PRUNE_WAVE,
 };
 use mhla_core::{report, MhlaConfig, MhlaError, Objective};
 use mhla_hierarchy::Platform;
@@ -276,12 +276,10 @@ fn run() -> Result<(), MhlaError> {
     let parallel = opts.parallel;
     // The tables always time both prune schedulers; only the frontier
     // run at the end follows MHLA_SWEEP_PARALLEL. Say which ran how.
-    let waves = PruneOptions::default();
     println!(
-        "settings: pruned = sequential (wave 1); par = frontier waves (parallel {}, wave {}, \
-         {} threads available); frontier run parallel {parallel} (MHLA_SWEEP_PARALLEL)",
-        waves.parallel,
-        waves.wave,
+        "settings: pruned = sequential (one-point waves); par = parallel frontier waves \
+         (up to {PRUNE_WAVE} points, {} threads available); frontier run parallel {parallel} \
+         (MHLA_SWEEP_PARALLEL)",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     println!();
@@ -335,13 +333,13 @@ fn run() -> Result<(), MhlaError> {
 
     // The joint three-axis frontier of one representative app.
     let app = mhla_apps::hierarchical_me::app();
-    let grid = sweep_grid_pruned_with(
+    let grid = try_sweep_grid_pruned_with(
         &app.program,
         &Platform::four_level_default(),
         &default_grid4_axes(),
         &MhlaConfig::default(),
-        PruneOptions::with_parallel(parallel),
-    );
+        &PruneOptions::with_parallel(parallel),
+    )?;
     println!(
         "{}: L1xL2xL3 Pareto frontier (C = cycles front, E = energy front)",
         app.name()

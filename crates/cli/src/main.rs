@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mhla_core::explore::{
-    default_capacities, try_sweep_grid_resume, try_sweep_grid_run, try_sweep_with, ExploreBudget,
+    default_axes, default_capacities, try_sweep_grid_resume, try_sweep_grid_run, ExploreBudget,
     GridAxis, GridSweepRun, SearchMode, StopCause, SweepOptions, SweepStatus,
 };
 use mhla_core::{report, Mhla, MhlaConfig, MhlaError};
@@ -348,16 +348,9 @@ fn sweep_options(f: &Flags) -> Result<SweepOptions, CliError> {
 /// The grid axes: an explicit `--axes` spec, or the standard grid for the
 /// platform's depth (matching the in-process sweep suites).
 fn grid_axes(f: &Flags, platform: &Platform) -> Result<Vec<GridAxis>, CliError> {
-    if let Some(spec) = &f.axes {
-        return parse_axes(spec);
-    }
-    match platform.layer_count() {
-        3 => Ok(mhla_bench::default_grid_axes()),
-        4 => Ok(mhla_bench::default_grid4_axes()),
-        _ => Ok(vec![GridAxis::new(
-            platform.closest(),
-            default_capacities(),
-        )]),
+    match &f.axes {
+        Some(spec) => parse_axes(spec),
+        None => Ok(default_axes(platform)),
     }
 }
 
@@ -480,11 +473,10 @@ fn cmd_sweep(f: &Flags) -> Result<(), CliError> {
     let layer = f.layer.map_or_else(|| platform.closest(), LayerId);
     let capacities = f.capacities.clone().unwrap_or_else(default_capacities);
     let opts = sweep_options(f)?;
-    let run = try_sweep_with(
+    let run = try_sweep_grid_run(
         &program,
         &platform,
-        layer,
-        &capacities,
+        &[GridAxis::new(layer, capacities)],
         &MhlaConfig::default(),
         &opts,
     )?;
@@ -508,7 +500,7 @@ fn cmd_grid(f: &Flags) -> Result<(), CliError> {
     let mut run: GridSweepRun = try_sweep_grid_run(&program, &platform, &axes, &config, &opts)?;
     if !run.status.is_complete() && f.resume {
         let unlimited = SweepOptions {
-            budget: ExploreBudget::unlimited(),
+            budget: ExploreBudget::default(),
             ..opts
         };
         run = try_sweep_grid_resume(&program, &platform, &axes, &config, &unlimited, &run)?;

@@ -7,10 +7,23 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use mhla_core::explore::{sweep, sweep_grid, GridAxis};
+use mhla_core::explore::{try_sweep_grid_run, GridAxis, GridSweep, SweepOptions};
 use mhla_core::{report, MhlaConfig};
 use mhla_hierarchy::{LayerId, Platform};
 use mhla_ir::serdes::program_from_json;
+
+/// The in-process default sweep of `axes`, default config.
+fn in_process(program: &mhla_ir::Program, platform: &Platform, axes: &[GridAxis]) -> GridSweep {
+    try_sweep_grid_run(
+        program,
+        platform,
+        axes,
+        &MhlaConfig::default(),
+        &SweepOptions::default(),
+    )
+    .expect("in-process sweep")
+    .sweep
+}
 
 fn mhla(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mhla"))
@@ -89,12 +102,7 @@ fn grid_over_serialized_app_is_bit_identical_to_in_process_sweep() {
         GridAxis::new(LayerId(1), vec![1024, 4096]),
         GridAxis::new(LayerId(2), vec![128, 256]),
     ];
-    let expected = sweep_grid(
-        &app.program,
-        &Platform::three_level_default(),
-        &axes,
-        &MhlaConfig::default(),
-    );
+    let expected = in_process(&app.program, &Platform::three_level_default(), &axes);
 
     let cli_csv = fs::read_to_string(&csv_path).expect("grid csv");
     assert_eq!(
@@ -130,12 +138,10 @@ fn sweep_over_serialized_app_is_bit_identical_to_in_process_sweep() {
 
     let app = mhla_apps::fir_bank::app();
     let platform = Platform::embedded_default(16 * 1024);
-    let expected = sweep(
+    let expected = in_process(
         &app.program,
         &platform,
-        platform.closest(),
-        &[512, 1024, 2048],
-        &MhlaConfig::default(),
+        &[GridAxis::new(platform.closest(), vec![512, 1024, 2048])],
     );
     assert_eq!(stdout(&out), report::sweep_csv(&expected));
 }

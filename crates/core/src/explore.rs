@@ -2,54 +2,55 @@
 //!
 //! The paper's §1 claim — "performs a thorough trade-off exploration for
 //! different memory layer sizes … able to find all the optimal trade-off
-//! points" — maps to sweeps over the on-chip layer sizes:
+//! points" — maps to sweeps over an N-dimensional layer-size grid: every
+//! resized on-chip layer gets a capacity axis ([`GridAxis`]), both MHLA
+//! steps run at every point of the Cartesian product, and the Pareto
+//! accessors of [`GridSweep`] keep the points no other point dominates
+//! over (capacity vector, cycles / energy / objective score). A one-layer
+//! capacity sweep is the 1-axis grid; [`default_axes`] names the standard
+//! grid for a platform's depth.
 //!
-//! * [`sweep`] — the 1-D capacity sweep: one scratchpad layer resized over
-//!   a range, both MHLA steps run at every size, Pareto-optimal
-//!   (capacity, cycles) and (capacity, energy) points kept.
-//! * [`sweep_grid`] — the N-dimensional generalization: every on-chip
-//!   layer gets its own capacity axis ([`GridAxis`]) and the full
-//!   Cartesian product is evaluated — the *joint* sizing of a multi-layer
-//!   hierarchy (e.g. L1×L2 on [`Platform::three_level`]), whose
-//!   interesting trade-offs single-axis sweeps cannot see. Pareto
-//!   filtering generalizes to dominance over the capacity vector.
+//! # One entry point per strategy
 //!
-//! Both run on a shared [`ExplorationContext`]: the reuse analysis,
-//! program facts, TE caches and candidate-move space are computed once per
-//! program; each point only pays for its search. Points are processed in
-//! fixed-size chunks scheduled across threads with `rayon`, and within a
-//! chunk each point warm-starts the greedy search from its predecessor
-//! along the innermost axis.
+//! Each strategy has one fallible entry point plus its resume: ingress is
+//! validated up front into a typed [`MhlaError`], and budget exhaustion
+//! is reported through a [`SweepStatus`], not an error:
 //!
-//! [`sweep_grid_pruned`] is the sub-exhaustive production path for large
-//! grids: points that provably cannot contribute a Pareto point are
-//! skipped *without evaluation* (see its documentation for the two prune
-//! rules and the losslessness argument). The rules arm under all three
-//! [`Objective`]s — the energy/weighted side rides on instrumented
-//! per-run *gain bounds* ([`RunStats`]) — and the loop
-//! executes in *frontier waves* whose cold evaluations run in parallel
-//! while skip decisions commit in lexicographic order, so frontiers and
-//! [`PruneStats`] are identical to the sequential point-by-point path;
-//! `tests/prune_equivalence.rs` verifies the pruned frontier bit-for-bit
-//! against the exhaustive one under every objective and both modes.
+//! * **Exhaustive** — [`try_sweep_grid_run`] (and
+//!   [`try_sweep_grid_run_in`] over a caller-provided
+//!   [`ExplorationContext`], the batch server's reuse path), resumed by
+//!   [`try_sweep_grid_resume`]. Every point is evaluated; within a chunk
+//!   of [`SWEEP_CHUNK`] innermost-axis points each point warm-starts from
+//!   its predecessor, and chunks run in parallel under `rayon`.
+//! * **Pruned** — [`try_sweep_grid_pruned_with`], resumed by
+//!   [`try_sweep_grid_pruned_resume`]: points that provably cannot
+//!   contribute a Pareto point are skipped *without evaluation* (see its
+//!   documentation for the two prune rules and the losslessness argument),
+//!   in *frontier waves* whose cold evaluations run in parallel while skip
+//!   decisions commit in lexicographic order; `tests/prune_equivalence.rs`
+//!   verifies the pruned frontier bit-for-bit against the exhaustive one.
+//! * **Refined** — [`try_sweep_grid_refined_with`], resumed by
+//!   [`try_sweep_grid_refined_resume`]: the coarse grid is evaluated and
+//!   only the capacity cells that can still change the front are
+//!   subdivided, certifying the frontier of a virtual fine lattice
+//!   ([`refine_axis`]) at a fraction of its evaluations.
 //!
-//! [`sweep_cold`] keeps the frozen pre-optimization reference path:
-//! strictly sequential, every point re-analyzed and searched from scratch.
-//! The `tradeoff` bench and the equivalence tests compare the paths; their
-//! Pareto fronts must be identical.
+//! [`sweep_cold`] keeps the frozen pre-optimization reference: a 1-axis
+//! sweep, strictly sequential, every point re-analyzed and searched from
+//! scratch. The `tradeoff` bench and the equivalence tests compare it
+//! against the engine; their Pareto fronts must be identical.
 //!
 //! # One engine, two search modes
 //!
-//! All three sweep families run through one shared engine (internal
-//! `SweepEngine`): axis cleaning, the lexicographic
-//! Cartesian point order, per-point platform construction and evaluation,
-//! and the result assembly are written once; the families differ only in
-//! their *scheduler* (warm-started chunks, wavefront levels, or prune
-//! waves). The engine is parameterized by a [`SearchMode`]:
+//! All three strategies share one prologue (validation, axis cleaning,
+//! the empty-grid shortcut, the context build) and one engine (internal
+//! `SweepEngine`: point order, per-point evaluation, result assembly);
+//! they differ only in their *scheduler* (warm-started chunks, prune
+//! waves, or refinement waves). The engine is parameterized by a
+//! [`SearchMode`]:
 //!
-//! * [`SearchMode::Cold`] — the frozen semantics every existing entry
-//!   point defaults to: results are bit-identical to the pre-engine
-//!   sweeps (and, for the pruned path, to standalone [`Mhla::run`]s).
+//! * [`SearchMode::Cold`] — the frozen default semantics: every point's
+//!   result is bit-identical to a standalone [`Mhla::run`].
 //! * [`SearchMode::Improving`] — each point's search is a *portfolio*
 //!   seeded from the committed results of its grid neighbors along every
 //!   axis ([`SeedCache`]), with the cold leg always included: every
@@ -61,9 +62,8 @@
 //!   `full_search_me`), which is exactly why the cold mode must stay
 //!   frozen and this mode is opt-in.
 //!
-//! Pareto filtering is shared between [`Sweep`] and [`GridSweep`] through
-//! [`pareto::front`] — the sort-based sweep that replaced the seed's
-//! all-pairs dominance scan.
+//! Pareto filtering runs on [`pareto::front`] — the sort-based sweep that
+//! replaced the seed's all-pairs dominance scan.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -135,6 +135,24 @@ impl SweepStatus {
             SweepStatus::Stopped { next_lex, .. } => Some(next_lex),
         }
     }
+
+    /// `Ok` when complete, otherwise the stop as a typed error carrying
+    /// the run's `committed` and `total` counts — the body of every
+    /// result type's `require_complete`.
+    fn require_complete(self, committed: usize, total: usize) -> Result<(), MhlaError> {
+        match self {
+            SweepStatus::Complete => Ok(()),
+            SweepStatus::Stopped {
+                cause: StopCause::Cancelled,
+                ..
+            } => Err(MhlaError::Cancelled { committed, total }),
+            SweepStatus::Stopped { cause, .. } => Err(MhlaError::BudgetExhausted {
+                cause,
+                committed,
+                total,
+            }),
+        }
+    }
 }
 
 /// A work bound for the sweep schedulers, threaded through
@@ -164,16 +182,6 @@ pub struct ExploreBudget {
 }
 
 impl ExploreBudget {
-    /// No limits (the default). `const`, so option presets can be built in
-    /// `const` context and call sites stop hand-cloning default structs.
-    pub const fn unlimited() -> Self {
-        ExploreBudget {
-            max_evals: None,
-            deadline: None,
-            cancel: None,
-        }
-    }
-
     /// A pure evaluation-count budget — the deterministic limit the
     /// resume tests replay against.
     pub fn max_evals(n: usize) -> Self {
@@ -275,120 +283,71 @@ impl TripFlag {
     }
 }
 
-/// One point of the capacity sweep.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SweepPoint {
-    /// On-chip scratchpad capacity of this point, bytes.
-    pub capacity: u64,
-    /// The full MHLA result at this capacity.
-    pub result: MhlaResult,
-}
-
-impl SweepPoint {
-    /// Static MHLA+TE cycles at this point.
-    pub fn cycles(&self) -> u64 {
-        self.result.mhla_te_cycles()
-    }
-
-    /// Memory energy at this point, picojoule.
-    pub fn energy_pj(&self) -> f64 {
-        self.result.mhla_energy_pj()
-    }
-}
-
-/// Result of [`sweep`]: all evaluated points in ascending capacity order.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Sweep {
-    /// Evaluated points, ascending capacity.
-    pub points: Vec<SweepPoint>,
-}
-
-impl Sweep {
-    /// Indices of the Pareto-optimal (capacity, cycles) points: no other
-    /// point has both smaller-or-equal capacity and strictly fewer cycles.
-    pub fn pareto_cycles(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| vec![p.capacity as f64, p.cycles() as f64])
-    }
-
-    /// Indices of the Pareto-optimal (capacity, energy) points.
-    pub fn pareto_energy(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| vec![p.capacity as f64, p.energy_pj()])
-    }
-
-    /// The point with the fewest cycles (ties: smallest capacity).
-    pub fn best_cycles(&self) -> Option<&SweepPoint> {
-        surface_best(
-            &self.points,
-            |a, b| a.cycles().cmp(&b.cycles()),
-            |p| (p.capacity, EMPTY),
-        )
-    }
-
-    /// The point with the least energy (ties: smallest capacity).
-    pub fn best_energy(&self) -> Option<&SweepPoint> {
-        surface_best(
-            &self.points,
-            |a, b| a.energy_pj().total_cmp(&b.energy_pj()),
-            |p| (p.capacity, EMPTY),
-        )
-    }
-}
-
-/// Empty lexicographic tie-break for 1-D sweep points (their capacities
-/// are unique after dedup, so the total-capacity key already decides).
-const EMPTY: &[u64] = &[];
-
-/// The shared Pareto filter behind every `pareto_*` accessor of [`Sweep`]
-/// and [`GridSweep`]: keep a point iff no other point has every projected
-/// coordinate (capacities…, objective) smaller-or-equal without being the
-/// exact same point — one implementation over the sort-based
-/// [`pareto::front`], parameterized only by the coordinate projection.
-fn surface_front<P>(points: &[P], coords: impl Fn(&P) -> Vec<f64>) -> Vec<usize> {
-    let coords: Vec<Vec<f64>> = points.iter().map(coords).collect();
-    pareto::front(&coords)
-}
-
-/// The shared selector behind every `best_*` accessor: the point winning
-/// the objective comparison (a comparator, so cycle counts stay exact
-/// `u64` comparisons while energies compare as `f64`), ties broken by the
-/// (total capacity, lexicographic capacity vector) key — the first such
-/// point wins, matching the pre-dedup per-type implementations.
-fn surface_best<'p, P>(
-    points: &'p [P],
-    value: impl Fn(&P, &P) -> std::cmp::Ordering,
-    tie: impl for<'a> Fn(&'a P) -> (u64, &'a [u64]),
-) -> Option<&'p P> {
-    points
-        .iter()
-        .min_by(|a, b| value(a, b).then_with(|| tie(a).cmp(&tie(b))))
-}
-
 /// Default capacity grid: powers of two from 128 B to 128 KiB.
 pub fn default_capacities() -> Vec<u64> {
     (7..=17).map(|e| 1u64 << e).collect()
 }
 
-/// Default number of consecutive capacity points one parallel task
-/// processes (the default of [`SweepOptions::chunk`]).
+/// The standard grid for a platform's depth — what `mhla grid` and an
+/// axis-less `mhla submit` request sweep, and the grids the benchmarks
+/// measure:
+///
+/// * **3 layers** (e.g. [`Platform::three_level_default`]): L2 from 1 KiB
+///   to 16 KiB × L1 from 128 B to 512 B (powers of two) — 15 joint sizing
+///   points.
+/// * **4 layers** (e.g. [`Platform::four_level_default`]): L3 (`M1`) from
+///   16 KiB to 256 KiB (with a 192 KiB step) × L2 (`M2`) from 2 KiB to
+///   32 KiB × L1 (`M3`) from 256 B to 1 KiB — 90 joint sizing points. The
+///   upper L3/L2 sizes extend past the benchmark suite's working sets,
+///   where the pruned sweep's saturation rule collapses the grid. The
+///   axes overlap, so the grid deliberately visits non-pyramidal stacks
+///   (e.g. a 32 KiB L2 above a 16 KiB L3): grid exploration goes through
+///   [`Platform::with_layer_capacities`], which does not re-validate, and
+///   the frontier routinely lands on such inversions.
+/// * **any other depth**: the layer closest to the processor over
+///   [`default_capacities`].
+pub fn default_axes(platform: &Platform) -> Vec<GridAxis> {
+    let pow2 =
+        |exps: std::ops::RangeInclusive<u32>| -> Vec<u64> { exps.map(|e| 1u64 << e).collect() };
+    match platform.layer_count() {
+        3 => vec![
+            GridAxis::new(LayerId(1), pow2(10..=14)),
+            GridAxis::new(LayerId(2), pow2(7..=9)),
+        ],
+        4 => {
+            let mut l3 = pow2(14..=18);
+            l3.push(192 * 1024);
+            vec![
+                GridAxis::new(LayerId(1), l3),
+                GridAxis::new(LayerId(2), pow2(11..=15)),
+                GridAxis::new(LayerId(3), pow2(8..=10)),
+            ]
+        }
+        _ => vec![GridAxis::new(platform.closest(), default_capacities())],
+    }
+}
+
+/// Consecutive innermost-axis points one parallel task of the exhaustive
+/// scheduler processes.
 ///
 /// Within a chunk, points after the first warm-start from their
-/// predecessor; chunks are independent, so this is also the granularity of
-/// the `rayon` fan-out. Fixed (instead of `capacities / threads`) so sweep
-/// results never depend on the machine's core count. Tunable at runtime
-/// through [`SweepOptions::chunk`] (the `bench` binary reads
-/// `MHLA_SWEEP_CHUNK` for the many-core tuning experiment).
+/// predecessor; chunks are independent, so this is also the granularity
+/// of the `rayon` fan-out. Fixed (instead of `capacities / threads`) so
+/// the schedule never depends on the machine's core count — and each
+/// point's result is the warm/cold search *portfolio* (the cold search
+/// always runs; the warm result is kept only when strictly better), so
+/// results do not depend on the chunking at all; only wall time does.
 pub const SWEEP_CHUNK: usize = 4;
 
 /// How each point of a sweep seeds its search — the engine parameter the
 /// unified sweep engine dispatches on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SearchMode {
-    /// The frozen semantics every existing entry point defaults to:
-    /// bit-identical to the pre-engine sweeps. The exhaustive scheduler
-    /// runs warm-started chunks whose results are the classic warm/cold
-    /// portfolio; the pruned scheduler evaluates every point cold
-    /// (standalone-identical — the semantics its losslessness proof and
-    /// the equivalence suites rely on).
+    /// The frozen default semantics. The exhaustive scheduler runs
+    /// warm-started chunks whose results are the classic warm/cold
+    /// portfolio; the pruned and refined schedulers evaluate every point
+    /// cold (standalone-identical — the semantics their losslessness
+    /// proofs and the equivalence suites rely on).
     #[default]
     Cold,
     /// The *improving* mode: each point's search is a warm-start
@@ -404,11 +363,10 @@ pub enum SearchMode {
     /// `tests/improving_sweep.rs` and the randomized-program proptests
     /// enforce it). Points run strictly sequentially in lexicographic
     /// order (a point's seeds are its committed predecessors), so
-    /// results are deterministic and independent of every
-    /// `parallel`/`chunk`/`wave` setting — those knobs only tune the
-    /// cold schedulers. Warm seeds are a greedy-search construct;
-    /// non-greedy strategies ignore them and this mode equals
-    /// [`Cold`](SearchMode::Cold).
+    /// results are deterministic and independent of the `parallel` and
+    /// `warm_start` settings — those only tune the cold schedulers. Warm
+    /// seeds are a greedy-search construct; non-greedy strategies ignore
+    /// them and this mode equals [`Cold`](SearchMode::Cold).
     Improving,
 }
 
@@ -426,7 +384,14 @@ pub enum SeedOrigin {
     LexPredecessor,
 }
 
-/// Tuning knobs for [`sweep_with`] and [`sweep_grid_with`].
+/// Tuning knobs for [`try_sweep_grid_run`] and its resume.
+///
+/// **Determinism guarantee:** each point's result is the warm/cold search
+/// *portfolio* (the cold search always runs; the warm result is kept only
+/// when strictly better), and the chunking is the constant
+/// [`SWEEP_CHUNK`]. Sweep results are therefore identical for every
+/// `parallel`/`warm_start` combination and on any thread fan-out; only
+/// wall time changes.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepOptions {
     /// Warm-start each point (within a chunk) from its predecessor's
@@ -434,24 +399,10 @@ pub struct SweepOptions {
     /// only, in [`SearchMode::Cold`] (the improving mode has its own
     /// neighbor seeding and ignores this).
     pub warm_start: bool,
-    /// Process chunks of capacities on a thread pool.
+    /// Process chunks of points on a thread pool. (In
+    /// [`SearchMode::Improving`] the scheduler is strictly sequential and
+    /// ignores this.)
     pub parallel: bool,
-    /// Points per sequential chunk along the innermost sweep axis
-    /// (clamped to ≥ 1; default [`SWEEP_CHUNK`]).
-    ///
-    /// **Determinism guarantee:** the chunking is fixed by this value
-    /// alone — never derived from the machine's core count — and each
-    /// point's result is the warm/cold search *portfolio* (the cold
-    /// search always runs; the warm result is kept only when strictly
-    /// better). Sweep results are therefore identical for every
-    /// `chunk`/`parallel`/`warm_start` combination and on any thread
-    /// fan-out; only wall time changes. Larger chunks lengthen warm-start
-    /// chains but reduce scheduling slack — tune per machine via the
-    /// `bench` binary (`MHLA_SWEEP_CHUNK`), tracked in `BENCH_sweep.json`.
-    /// (In [`SearchMode::Improving`] the scheduler is the wavefront, not
-    /// the chunked chain; `chunk` is then irrelevant to results *and*
-    /// scheduling, and `parallel` only fans out within a level.)
-    pub chunk: usize,
     /// The search mode (default [`SearchMode::Cold`] — the frozen,
     /// bit-identical semantics).
     pub mode: SearchMode,
@@ -466,163 +417,44 @@ impl Default for SweepOptions {
         SweepOptions {
             warm_start: true,
             parallel: true,
-            chunk: SWEEP_CHUNK,
             mode: SearchMode::Cold,
             budget: ExploreBudget::default(),
         }
     }
 }
 
-impl SweepOptions {
-    /// The default options under the given budget — the one-liner call
-    /// sites reach for instead of hand-cloning a default struct (the PR 6
-    /// budget made these options non-`Copy`).
-    pub fn with_budget(budget: ExploreBudget) -> Self {
-        SweepOptions {
-            budget,
-            ..SweepOptions::default()
-        }
-    }
-}
-
-/// Sweeps scratchpad capacities, resizing `layer` of `platform` to each of
-/// `capacities` and running the full MHLA flow. Production path: shared
-/// reuse analysis, warm starts, parallel chunks (see [`SweepOptions`]).
+/// The pre-optimization reference sweep over one layer: strictly
+/// sequential, the reuse analysis re-derived at every point, every
+/// candidate move re-priced with the full `evaluate` oracle, no warm
+/// starts — the seed implementation, frozen. Kept for validation and
+/// benchmarking; the 1-axis [`try_sweep_grid_run`] over the same
+/// capacities must yield identical Pareto fronts (see the equivalence
+/// tests).
 ///
-/// # Panics
-///
-/// Panics if `layer` is the off-chip layer (it cannot be resized).
-pub fn sweep(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-) -> Sweep {
-    sweep_with(
-        program,
-        platform,
-        layer,
-        capacities,
-        config,
-        SweepOptions::default(),
-    )
-}
-
-/// The pre-optimization reference sweep: strictly sequential, the reuse
-/// analysis re-derived at every point, every candidate move re-priced with
-/// the full `evaluate` oracle, no warm starts — the seed implementation,
-/// frozen. Kept for validation and benchmarking; [`sweep`] must yield
-/// identical Pareto fronts (see the equivalence tests).
+/// Returns the 1-axis grid over `layer`: capacities sorted and deduped,
+/// one point each.
 pub fn sweep_cold(
     program: &Program,
     platform: &Platform,
     layer: LayerId,
     capacities: &[u64],
     config: &MhlaConfig,
-) -> Sweep {
-    let caps = clean_capacities(capacities);
-    let points = caps
+) -> GridSweep {
+    let points = clean_capacities(capacities)
         .into_iter()
         .map(|capacity| {
             let pf = platform.with_layer_capacity(layer, capacity);
             let result = Mhla::new(program, &pf, config.clone()).run_reference();
-            SweepPoint { capacity, result }
+            GridPoint {
+                capacities: vec![capacity],
+                result,
+            }
         })
         .collect();
-    Sweep { points }
-}
-
-/// [`sweep`] with explicit [`SweepOptions`].
-///
-/// Implemented as the 1-axis degenerate case of [`sweep_grid_with`], so
-/// the 1-D and N-D sweeps share one execution path: identical context
-/// sharing, chunking and warm-start behavior by construction.
-pub fn sweep_with(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-    opts: SweepOptions,
-) -> Sweep {
-    match try_sweep_with(program, platform, layer, capacities, config, &opts) {
-        Ok(run) => run.sweep,
-        Err(e) => panic!("sweep_with: {e}"),
+    GridSweep {
+        layers: vec![layer],
+        points,
     }
-}
-
-/// Fallible [`sweep`]: validates the program, platform and configuration
-/// up front and returns a typed [`MhlaError`] instead of panicking.
-///
-/// # Errors
-///
-/// [`MhlaError::InvalidProgram`] / [`InvalidOptions`](MhlaError::InvalidOptions) /
-/// [`InvalidObjective`](MhlaError::InvalidObjective) on bad ingress,
-/// [`MhlaError::InfeasiblePoint`] on an impossible sweep axis.
-pub fn try_sweep(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-) -> Result<Sweep, MhlaError> {
-    try_sweep_with(
-        program,
-        platform,
-        layer,
-        capacities,
-        config,
-        &SweepOptions::default(),
-    )
-    .map(|run| run.sweep)
-}
-
-/// Result of [`try_sweep_with`]: the 1-D sweep plus how far it got (a
-/// budgeted sweep can stop early — see [`SweepStatus`]).
-#[derive(Clone, PartialEq, Debug)]
-pub struct SweepRun {
-    /// The evaluated points (a lexicographic — here: ascending-capacity —
-    /// prefix of the full sweep when [`status`](Self::status) is
-    /// [`SweepStatus::Stopped`]).
-    pub sweep: Sweep,
-    /// Whether the sweep covered every capacity.
-    pub status: SweepStatus,
-}
-
-/// Fallible [`sweep_with`]: validated ingress, budget-aware result.
-///
-/// # Errors
-///
-/// As [`try_sweep`]. Budget exhaustion is *not* an error — it is
-/// reported through [`SweepRun::status`].
-pub fn try_sweep_with(
-    program: &Program,
-    platform: &Platform,
-    layer: LayerId,
-    capacities: &[u64],
-    config: &MhlaConfig,
-    opts: &SweepOptions,
-) -> Result<SweepRun, MhlaError> {
-    let axis = GridAxis {
-        layer,
-        capacities: capacities.to_vec(),
-    };
-    let run = try_sweep_grid_run(program, platform, &[axis], config, opts)?;
-    Ok(SweepRun {
-        sweep: Sweep {
-            points: run
-                .sweep
-                .points
-                .into_iter()
-                .map(|p| SweepPoint {
-                    capacity: p.capacities[0],
-                    result: p.result,
-                })
-                .collect(),
-        },
-        status: run.status,
-    })
 }
 
 fn clean_capacities(capacities: &[u64]) -> Vec<u64> {
@@ -687,7 +519,7 @@ impl GridPoint {
     }
 }
 
-/// Result of [`sweep_grid`]: every point of the capacity grid, in
+/// Result of a grid sweep: every point of the capacity grid, in
 /// lexicographic order of the capacity vector (the last axis varies
 /// fastest).
 #[derive(Clone, PartialEq, Debug)]
@@ -701,19 +533,19 @@ pub struct GridSweep {
 impl GridSweep {
     /// Indices of the Pareto surface over (capacity vector, cycles): a
     /// point survives iff no other point dominates it — capacities all ≤,
-    /// cycles ≤, and at least one strictly smaller. On a 1-axis grid this
-    /// is exactly [`Sweep::pareto_cycles`]. (Capacity vectors in a grid
-    /// are unique, so the 1-axis case degenerates to "keep iff the
-    /// objective strictly improves on everything at smaller capacity" —
-    /// asserted by the grid equivalence tests. `pareto::front_quadratic`
-    /// keeps the seed's all-pairs scan as the test oracle.)
+    /// cycles ≤, and at least one strictly smaller. (Capacity vectors in
+    /// a grid are unique, so on a 1-axis grid this degenerates to "keep
+    /// iff the objective strictly improves on everything at smaller
+    /// capacity" — asserted by the grid equivalence tests.
+    /// `pareto::front_quadratic` keeps the seed's all-pairs scan as the
+    /// test oracle.)
     pub fn pareto_cycles(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| grid_coords(p, p.cycles() as f64))
+        self.front(|p| p.cycles() as f64)
     }
 
     /// Indices of the Pareto surface over (capacity vector, energy).
     pub fn pareto_energy(&self) -> Vec<usize> {
-        surface_front(&self.points, |p| grid_coords(p, p.energy_pj()))
+        self.front(GridPoint::energy_pj)
     }
 
     /// Indices of the Pareto surface over (capacity vector, objective
@@ -723,38 +555,54 @@ impl GridSweep {
     /// (Time Extensions are a separate heuristic that a better step-1
     /// score does not bound).
     pub fn pareto_objective(&self, objective: &Objective) -> Vec<usize> {
-        surface_front(&self.points, |p| {
-            grid_coords(p, p.objective_score(objective))
-        })
+        self.front(|p| p.objective_score(objective))
     }
 
     /// The point with the fewest cycles (ties: smallest total capacity,
     /// then lexicographically smallest vector).
     pub fn best_cycles(&self) -> Option<&GridPoint> {
-        surface_best(&self.points, |a, b| a.cycles().cmp(&b.cycles()), grid_tie)
+        self.best(|a, b| a.cycles().cmp(&b.cycles()))
     }
 
     /// The point with the least energy (ties as
     /// [`best_cycles`](Self::best_cycles)).
     pub fn best_energy(&self) -> Option<&GridPoint> {
-        surface_best(
-            &self.points,
-            |a, b| a.energy_pj().total_cmp(&b.energy_pj()),
-            grid_tie,
-        )
+        self.best(|a, b| a.energy_pj().total_cmp(&b.energy_pj()))
+    }
+
+    /// The shared Pareto filter behind every `pareto_*` accessor: the
+    /// sort-based [`pareto::front`] over (capacities…, objective).
+    fn front(&self, objective: impl Fn(&GridPoint) -> f64) -> Vec<usize> {
+        let coords: Vec<Vec<f64>> = self
+            .points
+            .iter()
+            .map(|p| grid_coords(p, objective(p)))
+            .collect();
+        pareto::front(&coords)
+    }
+
+    /// The shared selector behind every `best_*` accessor: the first point
+    /// winning the objective comparison (a comparator, so cycle counts
+    /// stay exact `u64` comparisons while energies compare as `f64`), ties
+    /// broken by (total capacity, lexicographic capacity vector).
+    fn best(
+        &self,
+        value: impl Fn(&GridPoint, &GridPoint) -> std::cmp::Ordering,
+    ) -> Option<&GridPoint> {
+        self.points.iter().min_by(|a, b| {
+            value(a, b).then_with(|| {
+                (a.total_capacity(), &a.capacities).cmp(&(b.total_capacity(), &b.capacities))
+            })
+        })
     }
 }
 
-/// A grid point's (capacities…, objective) projection for [`surface_front`].
+/// A grid point's (capacities…, objective) projection for the Pareto
+/// filter.
 fn grid_coords(p: &GridPoint, objective: f64) -> Vec<f64> {
     let mut c: Vec<f64> = p.capacities.iter().map(|&c| c as f64).collect();
     c.push(objective);
     c
-}
-
-/// A grid point's tie-break key for [`surface_best`].
-fn grid_tie(p: &GridPoint) -> (u64, &[u64]) {
-    (p.total_capacity(), &p.capacities)
 }
 
 /// Cartesian product of the outer axes, lexicographic. An empty axis list
@@ -776,65 +624,76 @@ fn cartesian(axes: &[Vec<u64>]) -> Vec<Vec<u64>> {
     out
 }
 
-/// Sweeps an N-dimensional layer-size grid: for every point of the
-/// Cartesian product of the axes' capacities, resizes the named layers of
-/// `platform` and runs the full MHLA flow — the *joint* trade-off
-/// exploration of a multi-layer hierarchy (e.g. L1×L2 on
-/// [`Platform::three_level`]).
-///
-/// Production path: one shared [`ExplorationContext`] (reuse analysis,
-/// program facts, TE caches, move space computed once), the innermost
-/// axis processed in warm-started chunks, chunks scheduled across threads
-/// (see [`SweepOptions`]). Each point's result is bit-identical to a cold
-/// standalone [`Mhla::run`] on the same platform (the portfolio search
-/// prefers the cold result on ties), and a 1-axis grid is exactly
-/// [`sweep`] — both asserted by the equivalence tests.
-///
-/// # Panics
-///
-/// Panics if any axis names the off-chip layer or a layer out of range,
-/// or if any capacity is zero.
-pub fn sweep_grid(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> GridSweep {
-    sweep_grid_with(program, platform, axes, config, SweepOptions::default())
+/// Where an entry point's [`ExplorationContext`] comes from.
+enum Source<'s, 'p> {
+    /// Built by the prologue once the ingress has validated.
+    Fresh(&'p Program, &'s MhlaConfig),
+    /// Provided by the caller ([`try_sweep_grid_run_in`]).
+    Shared(&'s ExplorationContext<'p>),
 }
 
-/// [`sweep_grid`] with explicit [`SweepOptions`].
-pub fn sweep_grid_with(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: SweepOptions,
-) -> GridSweep {
-    sweep_grid_run(program, platform, axes, config, opts).sweep
+/// The result types of the three strategies, as the shared prologue
+/// handles them.
+trait Explored: Clone {
+    /// The complete run over an empty grid.
+    fn empty(layers: Vec<LayerId>) -> Self;
+    /// Whether the run covered its whole grid.
+    fn is_complete(&self) -> bool;
 }
 
-/// Fallible [`sweep_grid`]: validated ingress, typed errors.
-///
-/// # Errors
-///
-/// As [`try_sweep`].
-pub fn try_sweep_grid(
-    program: &Program,
+/// The shared prologue of every run and resume entry point. Validates
+/// the ingress, the axes and the strategy's own `options` check, in that
+/// order (the first failure is the error); cleans the axes (sorted,
+/// deduped); answers an empty grid with an empty complete run — before
+/// looking at `prior`, so a resume over no points never reaches a
+/// scheduler — and a complete `prior` with itself; otherwise hands the
+/// context (built here, unless `source` shares one) and the cleaned axes
+/// to `run`.
+fn explore<R: Explored>(
+    source: Source<'_, '_>,
     platform: &Platform,
     axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> Result<GridSweep, MhlaError> {
-    try_sweep_grid_run(program, platform, axes, config, &SweepOptions::default())
-        .map(|run| run.sweep)
+    options: Result<(), MhlaError>,
+    prior: Option<&R>,
+    run: impl FnOnce(&ExplorationContext<'_>, &[LayerId], &[Vec<u64>]) -> Result<R, MhlaError>,
+) -> Result<R, MhlaError> {
+    let (program, config) = match source {
+        Source::Fresh(program, config) => (program, config),
+        Source::Shared(ctx) => (ctx.program(), ctx.config()),
+    };
+    error::validate_run_ingress(program, platform, config)?;
+    error::validate_axes(platform, axes)?;
+    options?;
+    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
+    let axis_caps: Vec<Vec<u64>> = axes
+        .iter()
+        .map(|a| clean_capacities(&a.capacities))
+        .collect();
+    if axis_caps.is_empty() || axis_caps.iter().any(Vec::is_empty) {
+        return Ok(R::empty(layers));
+    }
+    if let Some(prior) = prior.filter(|p| p.is_complete()) {
+        return Ok(prior.clone());
+    }
+    match source {
+        // Everything capacity-independent — reuse analysis, program
+        // facts, TE caches, candidate moves — is computed once here and
+        // borrowed by every point.
+        Source::Fresh(..) => run(
+            &ExplorationContext::new(program, platform, config.clone()),
+            &layers,
+            &axis_caps,
+        ),
+        Source::Shared(ctx) => run(ctx, &layers, &axis_caps),
+    }
 }
 
-/// Result of [`sweep_grid_run`]: the grid sweep plus the engine's
+/// Result of [`try_sweep_grid_run`]: the grid sweep plus the engine's
 /// per-mode bookkeeping — the data the `grid4` bench's mode columns and
 /// the improving-vs-cold comparisons are built from.
 #[derive(Clone, PartialEq, Debug)]
 pub struct GridSweepRun {
-    /// The evaluated grid (identical to what [`sweep_grid_with`] returns).
+    /// The evaluated grid.
     pub sweep: GridSweep,
     /// Greedy search legs executed across all points (the cold leg plus
     /// one per distinct warm seed per point); `0` under non-greedy
@@ -871,51 +730,60 @@ impl GridSweepRun {
     ///
     /// [`MhlaError::BudgetExhausted`] / [`MhlaError::Cancelled`].
     pub fn require_complete(self) -> Result<Self, MhlaError> {
-        match self.status {
-            SweepStatus::Complete => Ok(self),
-            SweepStatus::Stopped {
-                cause: StopCause::Cancelled,
-                ..
-            } => Err(MhlaError::Cancelled {
-                committed: self.sweep.points.len(),
-                total: self.candidates,
-            }),
-            SweepStatus::Stopped { cause, .. } => Err(MhlaError::BudgetExhausted {
-                cause,
-                committed: self.sweep.points.len(),
-                total: self.candidates,
-            }),
+        self.status
+            .require_complete(self.sweep.points.len(), self.candidates)?;
+        Ok(self)
+    }
+}
+
+impl Explored for GridSweepRun {
+    fn empty(layers: Vec<LayerId>) -> Self {
+        GridSweepRun {
+            sweep: GridSweep {
+                layers,
+                points: Vec::new(),
+            },
+            evals: 0,
+            seed_wins: 0,
+            winners: Vec::new(),
+            candidates: 0,
+            status: SweepStatus::Complete,
         }
     }
-}
 
-/// [`sweep_grid_with`], additionally reporting which search legs ran and
-/// which seeds won (see [`GridSweepRun`]).
-pub fn sweep_grid_run(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: SweepOptions,
-) -> GridSweepRun {
-    match try_sweep_grid_run(program, platform, axes, config, &opts) {
-        Ok(run) => run,
-        Err(e) => panic!("sweep_grid_run: {e}"),
+    fn is_complete(&self) -> bool {
+        self.status.is_complete()
     }
 }
 
-/// Fallible [`sweep_grid_run`]: validates the program
-/// ([`Program::validate`]), the platform, the configuration and the axes
-/// up front, then runs the budget-aware scheduler for the selected
-/// [`SearchMode`].
+/// Sweeps an N-dimensional layer-size grid exhaustively: for every point
+/// of the Cartesian product of the axes' capacities, resizes the named
+/// layers of `platform` and runs the full MHLA flow — the *joint*
+/// trade-off exploration of a multi-layer hierarchy (e.g. L1×L2 on
+/// [`Platform::three_level`]); a one-layer capacity sweep is the 1-axis
+/// case.
+///
+/// Validates the program ([`Program::validate`]), the platform, the
+/// configuration and the axes up front, then runs the budget-aware
+/// scheduler for the selected [`SearchMode`] on one shared
+/// [`ExplorationContext`] (reuse analysis, program facts, TE caches, move
+/// space computed once). In [`SearchMode::Cold`] the innermost axis is
+/// processed in warm-started chunks of [`SWEEP_CHUNK`] points, scheduled
+/// across threads (see [`SweepOptions`]), and each point's result is
+/// bit-identical to a cold standalone [`Mhla::run`] on the same platform
+/// (the portfolio search prefers the cold result on ties) — asserted by
+/// the equivalence tests.
 ///
 /// # Errors
 ///
-/// As [`try_sweep`]. Budget exhaustion is *not* an error — the run comes
-/// back `Ok` with [`SweepStatus::Stopped`] and a certified partial
-/// frontier (see [`GridSweepRun::status`]); use
-/// [`GridSweepRun::require_complete`] to promote a stop into a typed
-/// error.
+/// [`MhlaError::InvalidProgram`] / [`InvalidOptions`](MhlaError::InvalidOptions) /
+/// [`InvalidObjective`](MhlaError::InvalidObjective) on bad ingress,
+/// [`MhlaError::InfeasiblePoint`] on an impossible sweep axis (the
+/// off-chip layer, a layer out of range, a zero capacity). Budget
+/// exhaustion is *not* an error — the run comes back `Ok` with
+/// [`SweepStatus::Stopped`] and a certified partial frontier (see
+/// [`GridSweepRun::status`]); use [`GridSweepRun::require_complete`] to
+/// promote a stop into a typed error.
 pub fn try_sweep_grid_run(
     program: &Program,
     platform: &Platform,
@@ -923,13 +791,16 @@ pub fn try_sweep_grid_run(
     config: &MhlaConfig,
     opts: &SweepOptions,
 ) -> Result<GridSweepRun, MhlaError> {
-    error::validate_run_ingress(program, platform, config)?;
-    error::validate_axes(platform, axes)?;
-    // Everything capacity-independent — reuse analysis, program facts, TE
-    // caches, candidate moves — is computed once here and borrowed by
-    // every point.
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    run_in(&ctx, platform, axes, opts)
+    explore(
+        Source::Fresh(program, config),
+        platform,
+        axes,
+        Ok(()),
+        None,
+        |ctx, layers, axis_caps| {
+            SweepEngine::new(ctx, platform, layers, axis_caps).run_exhaustive(opts, None)
+        },
+    )
 }
 
 /// [`try_sweep_grid_run`] over a caller-provided [`ExplorationContext`] —
@@ -955,43 +826,16 @@ pub fn try_sweep_grid_run_in(
     axes: &[GridAxis],
     opts: &SweepOptions,
 ) -> Result<GridSweepRun, MhlaError> {
-    error::validate_run_ingress(ctx.program(), platform, ctx.config())?;
-    error::validate_axes(platform, axes)?;
-    run_in(ctx, platform, axes, opts)
-}
-
-/// The shared tail of [`try_sweep_grid_run`] / [`try_sweep_grid_run_in`]:
-/// axes already validated, context in hand — clean the axes, shortcut the
-/// empty grid, run the mode's scheduler.
-fn run_in(
-    ctx: &ExplorationContext<'_>,
-    platform: &Platform,
-    axes: &[GridAxis],
-    opts: &SweepOptions,
-) -> Result<GridSweepRun, MhlaError> {
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    if axis_caps.is_empty() || axis_caps.iter().any(Vec::is_empty) {
-        return Ok(GridSweepRun {
-            sweep: GridSweep {
-                layers,
-                points: Vec::new(),
-            },
-            evals: 0,
-            seed_wins: 0,
-            winners: Vec::new(),
-            candidates: 0,
-            status: SweepStatus::Complete,
-        });
-    }
-    let engine = SweepEngine::new(ctx, platform, &layers, &axis_caps);
-    Ok(match opts.mode {
-        SearchMode::Cold => engine.run_chunked(opts, 0),
-        SearchMode::Improving => engine.run_lex(&opts.budget, 0, &[]),
-    })
+    explore(
+        Source::Shared(ctx),
+        platform,
+        axes,
+        Ok(()),
+        None,
+        |ctx, layers, axis_caps| {
+            SweepEngine::new(ctx, platform, layers, axis_caps).run_exhaustive(opts, None)
+        },
+    )
 }
 
 /// Resumes a stopped [`try_sweep_grid_run`] from its recorded cursor and
@@ -1001,7 +845,8 @@ fn run_in(
 ///
 /// Must be called with the same program/platform/axes/config/options the
 /// prior run used (checked where cheaply possible). Resuming a
-/// [`SweepStatus::Complete`] run returns it unchanged.
+/// [`SweepStatus::Complete`] run returns it unchanged; resuming over an
+/// empty grid returns the empty complete run, like a fresh call.
 ///
 /// In [`SearchMode::Improving`] the continuation replays the committed
 /// seed state, so the merged run — including its
@@ -1014,9 +859,9 @@ fn run_in(
 ///
 /// # Errors
 ///
-/// As [`try_sweep`], plus [`MhlaError::InvalidOptions`] when `prior`
-/// does not match the given axes (different layers, or points that are
-/// not the expected lexicographic prefix).
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] when
+/// `prior` does not match the given axes (different layers, or points
+/// that are not the expected lexicographic prefix).
 pub fn try_sweep_grid_resume(
     program: &Program,
     platform: &Platform,
@@ -1025,90 +870,25 @@ pub fn try_sweep_grid_resume(
     opts: &SweepOptions,
     prior: &GridSweepRun,
 ) -> Result<GridSweepRun, MhlaError> {
-    error::validate_run_ingress(program, platform, config)?;
-    error::validate_axes(platform, axes)?;
-    let start = match prior.status {
-        SweepStatus::Complete => return Ok(prior.clone()),
-        SweepStatus::Stopped { next_lex, .. } => next_lex,
-    };
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    let engine = SweepEngine::new(&ctx, platform, &layers, &axis_caps);
-    check_resume_prefix(
-        &layers,
-        &engine.order,
-        &prior.sweep.layers,
-        prior.sweep.points.iter().map(|p| p.capacities.as_slice()),
-        prior.sweep.points.len(),
-        start,
-    )?;
-    let cont = match opts.mode {
-        SearchMode::Cold => engine.run_chunked(opts, start),
-        SearchMode::Improving => engine.run_lex(&opts.budget, start, &prior.sweep.points),
-    };
-    let mut points = prior.sweep.points.clone();
-    points.extend(cont.sweep.points);
-    let mut winners = prior.winners.clone();
-    winners.extend(cont.winners);
-    Ok(GridSweepRun {
-        sweep: GridSweep { layers, points },
-        evals: prior.evals + cont.evals,
-        seed_wins: prior.seed_wins + cont.seed_wins,
-        winners,
-        candidates: cont.candidates,
-        status: cont.status,
-    })
+    explore(
+        Source::Fresh(program, config),
+        platform,
+        axes,
+        Ok(()),
+        Some(prior),
+        |ctx, layers, axis_caps| {
+            SweepEngine::new(ctx, platform, layers, axis_caps).run_exhaustive(opts, Some(prior))
+        },
+    )
 }
 
-/// The shared sanity check of the resume entry points: the prior run
-/// must have been produced on the same grid (same layers) and its points
-/// must sit where the recorded cursor says they do.
-fn check_resume_prefix<'p>(
-    layers: &[LayerId],
-    order: &[Vec<u64>],
-    prior_layers: &[LayerId],
-    prior_points: impl Iterator<Item = &'p [u64]>,
-    prior_count: usize,
-    next_lex: usize,
-) -> Result<(), MhlaError> {
-    if prior_layers != layers {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run swept different layers".into(),
-        });
-    }
-    if next_lex > order.len() || prior_count > next_lex {
-        return Err(MhlaError::InvalidOptions {
-            what: format!(
-                "resume: cursor {next_lex} / {} points do not fit a {}-point grid",
-                prior_count,
-                order.len()
-            ),
-        });
-    }
-    // The evaluated points are a lexicographic subsequence of the decided
-    // prefix (the pruned sweep skips some of it), so one merge walk
-    // verifies membership in linear time.
-    let mut cursor = order[..next_lex].iter();
-    for caps in prior_points {
-        if !cursor.any(|o| o == caps) {
-            return Err(MhlaError::InvalidOptions {
-                what: "resume: a prior point is not on the grid's decided prefix".into(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The shared sweep engine: one implementation of axis handling, the
-/// lexicographic Cartesian point order, per-point platform construction
-/// and search evaluation, and result assembly — used by all three sweep
-/// families ([`sweep`]/[`sweep_grid_with`] through the chunked or
-/// wavefront scheduler, [`sweep_grid_pruned_with`] through the prune-wave
-/// scheduler). The schedulers differ in *when* points run and what seeds
+/// The shared sweep engine: one implementation of the lexicographic
+/// Cartesian point order, per-point platform construction and search
+/// evaluation, and result assembly — used by all three strategies
+/// ([`try_sweep_grid_run`] through the chunked or lexicographic
+/// scheduler, [`try_sweep_grid_pruned_with`] through the prune-wave
+/// scheduler, [`try_sweep_grid_refined_with`] through the refinement
+/// waves). The schedulers differ in *when* points run and what seeds
 /// they see; everything a point *is* lives here.
 struct SweepEngine<'e> {
     ctx: &'e ExplorationContext<'e>,
@@ -1205,6 +985,76 @@ impl<'e> SweepEngine<'e> {
             axis_caps,
             order,
         }
+    }
+
+    /// The sanity check of the exhaustive and pruned resumes: the prior
+    /// run must have been produced on the same grid (same layers) and its
+    /// points must sit where the recorded cursor says they do.
+    fn check_resume_prefix(&self, prior: &GridSweep, next_lex: usize) -> Result<(), MhlaError> {
+        if prior.layers != self.layers {
+            return Err(MhlaError::InvalidOptions {
+                what: "resume: the prior run swept different layers".into(),
+            });
+        }
+        let order = &self.order;
+        if next_lex > order.len() || prior.points.len() > next_lex {
+            return Err(MhlaError::InvalidOptions {
+                what: format!(
+                    "resume: cursor {next_lex} / {} points do not fit a {}-point grid",
+                    prior.points.len(),
+                    order.len()
+                ),
+            });
+        }
+        // The evaluated points are a lexicographic subsequence of the
+        // decided prefix (the pruned sweep skips some of it), so one merge
+        // walk verifies membership in linear time.
+        let mut cursor = order[..next_lex].iter();
+        for p in &prior.points {
+            if !cursor.any(|o| *o == p.capacities) {
+                return Err(MhlaError::InvalidOptions {
+                    what: "resume: a prior point is not on the grid's decided prefix".into(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The exhaustive strategy: the scheduler of `opts.mode` over the
+    /// whole grid, or — with a stopped `prior` — from its cursor, merged
+    /// behind the prior points.
+    fn run_exhaustive(
+        &self,
+        opts: &SweepOptions,
+        prior: Option<&GridSweepRun>,
+    ) -> Result<GridSweepRun, MhlaError> {
+        let start = prior.and_then(|p| p.status.next_lex()).unwrap_or(0);
+        if let Some(prior) = prior {
+            self.check_resume_prefix(&prior.sweep, start)?;
+        }
+        let committed = prior.map_or(&[][..], |p| &p.sweep.points[..]);
+        let cont = match opts.mode {
+            SearchMode::Cold => self.run_chunked(opts, start),
+            SearchMode::Improving => self.run_lex(&opts.budget, start, committed),
+        };
+        let Some(prior) = prior else {
+            return Ok(cont);
+        };
+        let mut points = prior.sweep.points.clone();
+        points.extend(cont.sweep.points);
+        let mut winners = prior.winners.clone();
+        winners.extend(cont.winners);
+        Ok(GridSweepRun {
+            sweep: GridSweep {
+                layers: self.layers.to_vec(),
+                points,
+            },
+            evals: prior.evals + cont.evals,
+            seed_wins: prior.seed_wins + cont.seed_wins,
+            winners,
+            candidates: cont.candidates,
+            status: cont.status,
+        })
     }
 
     /// One point's search with an optional single warm seed — the cold
@@ -1371,23 +1221,16 @@ impl<'e> SweepEngine<'e> {
     /// point.
     fn empty_run(&self, status: SweepStatus) -> GridSweepRun {
         GridSweepRun {
-            sweep: GridSweep {
-                layers: self.layers.to_vec(),
-                points: Vec::new(),
-            },
-            evals: 0,
-            seed_wins: 0,
-            winners: Vec::new(),
             candidates: self.order.len(),
             status,
+            ..GridSweepRun::empty(self.layers.to_vec())
         }
     }
 
     /// The cold exhaustive scheduler: the last axis is the warm-start
     /// dimension — a task is one chunk of it under one fixed prefix of
     /// the outer axes. Tasks are independent, so their parallel schedule
-    /// cannot affect results. Bit-identical to the pre-engine
-    /// `sweep_grid_with` by construction.
+    /// cannot affect results.
     ///
     /// Covers the lexicographic range from `start` (0 on a fresh run, the
     /// resume cursor on a continuation) and returns only the new points.
@@ -1397,7 +1240,7 @@ impl<'e> SweepEngine<'e> {
     /// from `start` is returned, so the result is always a certified
     /// prefix. Skipping and re-chunking never change point *results*
     /// (each is the warm/cold portfolio, chunk-invariant by the
-    /// determinism guarantee of [`SweepOptions::chunk`]); only the
+    /// determinism guarantee of [`SweepOptions`]); only the
     /// leg/winner bookkeeping of a resume's boundary chunk can differ
     /// from an uninterrupted run's.
     fn run_chunked(&self, opts: &SweepOptions, start: usize) -> GridSweepRun {
@@ -1422,7 +1265,7 @@ impl<'e> SweepEngine<'e> {
         let innermost = &innermost[0];
         let n_in = innermost.len();
         let prefixes = cartesian(outer);
-        let chunk = opts.chunk.max(1).min(n_in);
+        let chunk = SWEEP_CHUNK.min(n_in);
         let tasks: Vec<(usize, &[u64], &[u64])> = prefixes
             .iter()
             .enumerate()
@@ -1550,7 +1393,7 @@ impl<'e> SweepEngine<'e> {
     }
 }
 
-/// Bookkeeping of one [`sweep_grid_pruned`] run.
+/// Bookkeeping of one [`try_sweep_grid_pruned_with`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PruneStats {
     /// Points of the full Cartesian product.
@@ -1575,7 +1418,7 @@ impl PruneStats {
     }
 }
 
-/// Result of [`sweep_grid_pruned`]: the evaluated subset of the grid (in
+/// Result of [`try_sweep_grid_pruned_with`]: the evaluated subset of the grid (in
 /// lexicographic order, like [`GridSweep`]) plus the prune bookkeeping.
 #[derive(Clone, PartialEq, Debug)]
 pub struct PrunedGridSweep {
@@ -1584,16 +1427,17 @@ pub struct PrunedGridSweep {
     /// point-for-point those of the exhaustive grid.
     pub sweep: GridSweep,
     /// How many points were evaluated vs skipped, and why. Identical for
-    /// every [`PruneOptions`] — the wave structure changes wall time only.
+    /// every [`PruneOptions::parallel`] setting — the wave structure
+    /// changes wall time only.
     pub stats: PruneStats,
     /// Dominance waves executed (each wave's cold evaluations run
-    /// concurrently under the parallel mode; a sequential run with
-    /// `wave == 1` degenerates to one wave per evaluated point).
+    /// concurrently under the parallel mode; a sequential run has
+    /// one-point waves, so this equals the evaluated count).
     pub waves: usize,
     /// Wave members evaluated speculatively whose results were discarded
     /// at commit time because an earlier member of the same wave enabled a
     /// skip — the (bounded) price of evaluating a wave before committing
-    /// it. Always `0` when `wave == 1`.
+    /// it. Always `0` in a sequential run.
     pub speculative_evals: usize,
     /// Greedy search legs executed across all evaluated points (including
     /// discarded speculative ones). In [`SearchMode::Cold`] every
@@ -1624,21 +1468,31 @@ impl PrunedGridSweep {
     ///
     /// [`MhlaError::BudgetExhausted`] / [`MhlaError::Cancelled`].
     pub fn require_complete(self) -> Result<Self, MhlaError> {
-        match self.status {
-            SweepStatus::Complete => Ok(self),
-            SweepStatus::Stopped {
-                cause: StopCause::Cancelled,
-                ..
-            } => Err(MhlaError::Cancelled {
-                committed: self.stats.evaluated,
-                total: self.stats.candidates,
-            }),
-            SweepStatus::Stopped { cause, .. } => Err(MhlaError::BudgetExhausted {
-                cause,
-                committed: self.stats.evaluated,
-                total: self.stats.candidates,
-            }),
+        self.status
+            .require_complete(self.stats.evaluated, self.stats.candidates)?;
+        Ok(self)
+    }
+}
+
+impl Explored for PrunedGridSweep {
+    fn empty(layers: Vec<LayerId>) -> Self {
+        PrunedGridSweep {
+            sweep: GridSweep {
+                layers,
+                points: Vec::new(),
+            },
+            stats: PruneStats::default(),
+            waves: 0,
+            speculative_evals: 0,
+            search_legs: 0,
+            seed_wins: 0,
+            status: SweepStatus::Complete,
+            checkpoint: PruneCheckpoint::default(),
         }
+    }
+
+    fn is_complete(&self) -> bool {
+        self.status.is_complete()
     }
 }
 
@@ -1650,44 +1504,42 @@ struct PruneCheckpoint {
     replayable: Vec<Replayable>,
 }
 
-/// Default number of points one dominance wave of
-/// [`sweep_grid_pruned_with`] may evaluate concurrently (the default of
-/// [`PruneOptions::wave`]). Fixed — never derived from the machine's core
-/// count — so wave boundaries, and thus the speculation bookkeeping, are
-/// machine-independent (skip decisions and frontiers are invariant under
-/// the wave size anyway; see [`PruneOptions`]).
+/// Maximum points one dominance wave of a parallel
+/// [`try_sweep_grid_pruned_with`] evaluates concurrently. Fixed — never
+/// derived from the machine's core count — so wave boundaries, and thus
+/// the speculation bookkeeping, are machine-independent (skip decisions
+/// and frontiers are invariant under the wave size anyway). Sequential
+/// and improving runs use one-point waves: without a fan-out a larger
+/// wave only adds discarded speculative evaluations.
 pub const PRUNE_WAVE: usize = 16;
 
-/// Tuning knobs for [`sweep_grid_pruned_with`].
+/// Tuning knobs for [`try_sweep_grid_pruned_with`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct PruneOptions {
-    /// Evaluate each wave's points on the `rayon` thread pool. Skip
-    /// decisions commit in lexicographic order either way, so results,
-    /// frontiers and [`PruneStats`] are identical with and without
-    /// parallelism — only wall time changes.
+    /// Evaluate each wave's points on the `rayon` thread pool, in waves
+    /// of up to [`PRUNE_WAVE`] points (one point per wave when unset).
+    /// Skip decisions commit in lexicographic order either way, so
+    /// results, frontiers and [`PruneStats`] are identical with and
+    /// without parallelism — only wall time and the wave bookkeeping
+    /// ([`PrunedGridSweep::waves`],
+    /// [`speculative_evals`](PrunedGridSweep::speculative_evals)) change.
     pub parallel: bool,
-    /// Maximum points per dominance wave (clamped to ≥ 1; default
-    /// [`PRUNE_WAVE`]). `wave == 1` is exactly the sequential
-    /// point-by-point loop. Larger waves expose more parallelism but can
-    /// evaluate a few points speculatively
-    /// ([`PrunedGridSweep::speculative_evals`]).
-    pub wave: usize,
     /// The search mode (default [`SearchMode::Cold`] — every evaluated
     /// point runs cold and standalone-identical, the canonical
     /// losslessness semantics). In [`SearchMode::Improving`] each
     /// evaluated point runs the neighbor-seeded portfolio instead; the
-    /// engine then forces `wave == 1` (a wave member's innermost-axis
+    /// engine then runs one-point waves (a wave member's innermost-axis
     /// seed is the member before it, so waves would change seed
     /// visibility) and the prune hooks switch to their mode-aware forms —
-    /// see [`sweep_grid_pruned`]'s *Improving mode* section.
+    /// see [`try_sweep_grid_pruned_with`]'s *Improving mode* section.
     pub mode: SearchMode,
     /// The exploration budget (default unlimited): `max_evals` bounds
     /// *committed* evaluations — prune skips are free, discarded
     /// speculative wave members do not count — and the stop lands on a
     /// fully-decided lexicographic prefix, so the partial frontier stays
     /// certified (see [`PrunedGridSweep::status`]). Like every other
-    /// prune result property, the stop point is identical for every
-    /// `wave`/`parallel` setting.
+    /// prune result property, the stop point is identical for both
+    /// `parallel` settings.
     pub budget: ExploreBudget,
 }
 
@@ -1695,7 +1547,6 @@ impl Default for PruneOptions {
     fn default() -> Self {
         PruneOptions {
             parallel: true,
-            wave: PRUNE_WAVE,
             mode: SearchMode::Cold,
             budget: ExploreBudget::default(),
         }
@@ -1703,14 +1554,6 @@ impl Default for PruneOptions {
 }
 
 impl PruneOptions {
-    /// The default options under the given budget.
-    pub fn with_budget(budget: ExploreBudget) -> Self {
-        PruneOptions {
-            budget,
-            ..PruneOptions::default()
-        }
-    }
-
     /// The default options with parallelism toggled.
     pub fn with_parallel(parallel: bool) -> Self {
         PruneOptions {
@@ -1765,6 +1608,31 @@ fn floor_objective_score(objective: &Objective, floor: &crate::cost::CostFloor) 
             cycle_weight,
         } => (energy_weight >= 0.0 && cycle_weight >= 0.0)
             .then_some(energy_weight * floor.energy_pj + cycle_weight * floor.cycles as f64),
+    }
+}
+
+/// The cost-floor rule against the committed incumbents `seen`: `caps`
+/// is dominated when incumbents with componentwise-smaller capacities
+/// meet its `floor` on both raw surfaces (cycles, then energy — a miss
+/// on the first skips the second scan) or, in improving mode (`Some`
+/// objective), on the objective-score surface, where the improving
+/// guarantee lives. An objective with no sound floor bound never
+/// dominates.
+fn floor_dominated(
+    seen: &[Evaluated],
+    caps: &[u64],
+    floor: &crate::cost::CostFloor,
+    improving: Option<&Objective>,
+) -> bool {
+    let met = |meets: &dyn Fn(&Evaluated) -> bool| {
+        seen.iter()
+            .any(|q| caps_dominate(&q.capacities, caps) && meets(q))
+    };
+    match improving {
+        Some(objective) => {
+            floor_objective_score(objective, floor).is_some_and(|bound| met(&|q| q.score <= bound))
+        }
+        None => met(&|q| q.cycles <= floor.cycles) && met(&|q| q.energy_pj <= floor.energy_pj),
     }
 }
 
@@ -1830,7 +1698,7 @@ impl PruneStats {
     }
 }
 
-/// The sub-exhaustive grid sweep: like [`sweep_grid`], but capacity
+/// The sub-exhaustive grid sweep: like [`try_sweep_grid_run`], but capacity
 /// vectors that provably cannot contribute a Pareto point are skipped
 /// *without running the search*. Lossless: every skipped point is
 /// dominated on both the cycles and the energy surface by an evaluated
@@ -1890,9 +1758,10 @@ impl PruneStats {
 /// The loop runs in *dominance waves* ([`PruneOptions`]): each wave
 /// collects, in lexicographic order, a run of consecutive points that are
 /// not skippable given the committed evaluations (stopping at the wave
-/// cap and at the first skippable point), evaluates the wave's cold
-/// searches — in parallel under `rayon` when [`PruneOptions::parallel`]
-/// is set — and then commits the results in lexicographic order,
+/// cap — [`PRUNE_WAVE`] when [`PruneOptions::parallel`] is set, one
+/// point otherwise — and at the first skippable point), evaluates the
+/// wave's cold searches in parallel under `rayon`, and then commits the
+/// results in lexicographic order,
 /// re-applying the skip rules as it goes: a member whose skip was enabled
 /// by an earlier member of the same wave is recorded as skipped and its
 /// speculative evaluation discarded. Because a point is only
@@ -1901,8 +1770,7 @@ impl PruneStats {
 /// point-by-point loop would have seen: skip decisions, [`PruneStats`],
 /// evaluated points and both frontiers are **identical for every wave
 /// size and thread fan-out** — only wall time (and the
-/// [`PrunedGridSweep::speculative_evals`] bookkeeping) changes. This is
-/// the default path; use [`sweep_grid_pruned_with`] to tune.
+/// [`PrunedGridSweep::speculative_evals`] bookkeeping) changes.
 ///
 /// # Improving mode
 ///
@@ -1926,59 +1794,14 @@ impl PruneStats {
 ///   score surface the improving guarantee is stated on), and disarms
 ///   for objectives with a negative weight (no sound floor exists).
 ///
-/// The engine forces `wave == 1` in this mode (see
+/// The engine runs one-point waves in this mode (see
 /// [`PruneOptions::mode`]), so improving pruned sweeps run sequentially.
 ///
-/// # Panics
-///
-/// Panics if any axis names the off-chip layer or a layer out of range,
-/// or if any capacity is zero.
-pub fn sweep_grid_pruned(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> PrunedGridSweep {
-    sweep_grid_pruned_with(program, platform, axes, config, PruneOptions::default())
-}
-
-/// [`sweep_grid_pruned`] with explicit [`PruneOptions`].
-pub fn sweep_grid_pruned_with(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: PruneOptions,
-) -> PrunedGridSweep {
-    match try_sweep_grid_pruned_with(program, platform, axes, config, &opts) {
-        Ok(run) => run,
-        Err(e) => panic!("sweep_grid_pruned_with: {e}"),
-    }
-}
-
-/// Fallible [`sweep_grid_pruned`]: validated ingress, typed errors.
-///
 /// # Errors
 ///
-/// As [`try_sweep`].
-pub fn try_sweep_grid_pruned(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> Result<PrunedGridSweep, MhlaError> {
-    try_sweep_grid_pruned_with(program, platform, axes, config, &PruneOptions::default())
-}
-
-/// Fallible [`sweep_grid_pruned_with`]: validates the program, platform,
-/// configuration and axes up front, then runs the budget-aware prune-wave
-/// scheduler.
-///
-/// # Errors
-///
-/// As [`try_sweep`]. Budget exhaustion is *not* an error — the run comes
-/// back `Ok` with [`SweepStatus::Stopped`] and a certified partial
-/// frontier (see [`PrunedGridSweep::status`]); use
+/// As [`try_sweep_grid_run`]. Budget exhaustion is *not* an error — the
+/// run comes back `Ok` with [`SweepStatus::Stopped`] and a certified
+/// partial frontier (see [`PrunedGridSweep::status`]); use
 /// [`PrunedGridSweep::require_complete`] to promote a stop into a typed
 /// error.
 pub fn try_sweep_grid_pruned_with(
@@ -1988,39 +1811,24 @@ pub fn try_sweep_grid_pruned_with(
     config: &MhlaConfig,
     opts: &PruneOptions,
 ) -> Result<PrunedGridSweep, MhlaError> {
-    error::validate_run_ingress(program, platform, config)?;
-    error::validate_axes(platform, axes)?;
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    if axis_caps.is_empty() || axis_caps.iter().any(Vec::is_empty) {
-        return Ok(PrunedGridSweep {
-            sweep: GridSweep {
-                layers,
-                points: Vec::new(),
-            },
-            stats: PruneStats::default(),
-            waves: 0,
-            speculative_evals: 0,
-            search_legs: 0,
-            seed_wins: 0,
-            status: SweepStatus::Complete,
-            checkpoint: PruneCheckpoint::default(),
-        });
-    }
-
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    let engine = SweepEngine::new(&ctx, platform, &layers, &axis_caps);
-    Ok(engine.run_pruned(opts, None))
+    explore(
+        Source::Fresh(program, config),
+        platform,
+        axes,
+        Ok(()),
+        None,
+        |ctx, layers, axis_caps| {
+            SweepEngine::new(ctx, platform, layers, axis_caps).run_pruned(opts, None)
+        },
+    )
 }
 
 /// Resumes a stopped [`try_sweep_grid_pruned_with`] from its recorded
 /// cursor and returns the *merged* run, again budget-aware. Must be
 /// called with the same program/platform/axes/config/options the prior
 /// run used (checked where cheaply possible); resuming a complete run
-/// returns it unchanged.
+/// returns it unchanged, resuming over an empty grid returns the empty
+/// complete run.
 ///
 /// The merged run's points, [`PruneStats`], status and frontiers are
 /// bit-identical to the uninterrupted run's (the stop lands on a decided
@@ -2032,8 +1840,8 @@ pub fn try_sweep_grid_pruned_with(
 ///
 /// # Errors
 ///
-/// As [`try_sweep`], plus [`MhlaError::InvalidOptions`] when `prior`
-/// does not match the given axes.
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] when
+/// `prior` does not match the given axes.
 pub fn try_sweep_grid_pruned_resume(
     program: &Program,
     platform: &Platform,
@@ -2042,53 +1850,50 @@ pub fn try_sweep_grid_pruned_resume(
     opts: &PruneOptions,
     prior: &PrunedGridSweep,
 ) -> Result<PrunedGridSweep, MhlaError> {
-    error::validate_run_ingress(program, platform, config)?;
-    error::validate_axes(platform, axes)?;
-    let next_lex = match prior.status {
-        SweepStatus::Complete => return Ok(prior.clone()),
-        SweepStatus::Stopped { next_lex, .. } => next_lex,
-    };
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let axis_caps: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    let engine = SweepEngine::new(&ctx, platform, &layers, &axis_caps);
-    check_resume_prefix(
-        &layers,
-        &engine.order,
-        &prior.sweep.layers,
-        prior.sweep.points.iter().map(|p| p.capacities.as_slice()),
-        prior.sweep.points.len(),
-        next_lex,
-    )?;
-    if prior.stats.candidates != engine.order.len()
-        || prior.stats.evaluated != prior.sweep.points.len()
-    {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run's bookkeeping does not match this grid".into(),
-        });
-    }
-    Ok(engine.run_pruned(opts, Some(prior)))
+    explore(
+        Source::Fresh(program, config),
+        platform,
+        axes,
+        Ok(()),
+        Some(prior),
+        |ctx, layers, axis_caps| {
+            SweepEngine::new(ctx, platform, layers, axis_caps).run_pruned(opts, Some(prior))
+        },
+    )
 }
 
 impl<'e> SweepEngine<'e> {
-    /// The prune-wave scheduler (the body of [`sweep_grid_pruned_with`]):
-    /// dominance waves over the lexicographic order, with skip decisions
-    /// committed sequentially and the prune hooks dispatched on the
-    /// [`SearchMode`].
+    /// The prune-wave scheduler (the body of
+    /// [`try_sweep_grid_pruned_with`]): dominance waves over the
+    /// lexicographic order, with skip decisions committed sequentially
+    /// and the prune hooks dispatched on the [`SearchMode`].
     ///
-    /// With a `prior` run (a continuation), the committed state —
-    /// incumbents, replay candidates, improving seeds, the cursor and
-    /// the skip bookkeeping — is rebuilt first and the scan restarts at
-    /// the recorded cursor; the merged result is returned. The budget
-    /// bounds the *continuation's* committed evaluations.
-    fn run_pruned(&self, opts: &PruneOptions, prior: Option<&PrunedGridSweep>) -> PrunedGridSweep {
+    /// With a stopped `prior` run (a continuation), the prior is checked
+    /// against this grid, the committed state — incumbents, replay
+    /// candidates, improving seeds, the cursor and the skip bookkeeping —
+    /// is rebuilt, and the scan restarts at the recorded cursor; the
+    /// merged result is returned. The budget bounds the *continuation's*
+    /// committed evaluations.
+    fn run_pruned(
+        &self,
+        opts: &PruneOptions,
+        prior: Option<&PrunedGridSweep>,
+    ) -> Result<PrunedGridSweep, MhlaError> {
         let config = self.ctx.config();
         let order = &self.order;
         let layers = self.layers;
         let budget = &opts.budget;
+        let start = prior.and_then(|p| p.status.next_lex()).unwrap_or(0);
+        if let Some(prior) = prior {
+            self.check_resume_prefix(&prior.sweep, start)?;
+            if prior.stats.candidates != order.len()
+                || prior.stats.evaluated != prior.sweep.points.len()
+            {
+                return Err(MhlaError::InvalidOptions {
+                    what: "resume: the prior run's bookkeeping does not match this grid".into(),
+                });
+            }
+        }
 
         // The saturation rule needs the instrumented greedy search (the
         // only strategy recording constraint masks and decision margins).
@@ -2105,8 +1910,13 @@ impl<'e> SweepEngine<'e> {
         let energy_weight = config.objective.energy_weight();
         let improving = opts.mode == SearchMode::Improving;
         // Improving commits must be strictly sequential: a wave member's
-        // innermost-axis seed is the member before it.
-        let wave_cap = if improving { 1 } else { opts.wave.max(1) };
+        // innermost-axis seed is the member before it. Without a fan-out,
+        // a wider wave would only add discarded speculative evaluations.
+        let wave_cap = if improving || !opts.parallel {
+            1
+        } else {
+            PRUNE_WAVE
+        };
 
         // A continuation rebuilds the committed state from the prior run:
         // incumbents and improving seeds from its points, replay
@@ -2142,7 +1952,6 @@ impl<'e> SweepEngine<'e> {
             }
             last_committed = points.last().map(|p| p.capacities.clone());
         }
-        let start = prior.and_then(|p| p.status.next_lex()).unwrap_or(0);
         // Committed evaluations are what the budget counts; the prior
         // run's are already paid for.
         let base_evaluated = stats.evaluated;
@@ -2175,24 +1984,8 @@ impl<'e> SweepEngine<'e> {
                 return Some(SkipRule::Saturated);
             }
             let floor = *floors[i].get_or_insert_with(|| floor_probe.floor_at(caps));
-            let floor_dominated = if improving {
-                // Mode-aware rule 2: the improving guarantee lives on the
-                // objective-score surface, so the incumbents must beat
-                // the floor's score bound there.
-                match floor_objective_score(&config.objective, &floor) {
-                    Some(floor_score) => seen
-                        .iter()
-                        .any(|q| caps_dominate(&q.capacities, caps) && q.score <= floor_score),
-                    None => false,
-                }
-            } else {
-                seen.iter()
-                    .any(|q| caps_dominate(&q.capacities, caps) && q.cycles <= floor.cycles)
-                    && seen.iter().any(|q| {
-                        caps_dominate(&q.capacities, caps) && q.energy_pj <= floor.energy_pj
-                    })
-            };
-            floor_dominated.then_some(SkipRule::Floor)
+            floor_dominated(seen, caps, &floor, improving.then_some(&config.objective))
+                .then_some(SkipRule::Floor)
         };
 
         let mut next = start;
@@ -2256,24 +2049,18 @@ impl<'e> SweepEngine<'e> {
             // seed is committed; the lex-predecessor seed is the last
             // *committed* point — skipped points have no result to seed
             // from).
+            let cold = |&i: &usize| {
+                let (result, run) = self.evaluate(&order[i], None);
+                (result, run, None)
+            };
             let runs: Vec<(MhlaResult, RunStats, Option<SeedOrigin>)> = if improving {
                 wave.iter()
                     .map(|&i| self.evaluate_improving(&order[i], &seeds, last_committed.as_deref()))
                     .collect()
-            } else if opts.parallel && wave.len() > 1 {
-                wave.par_iter()
-                    .map(|&i| {
-                        let (result, run) = self.evaluate(&order[i], None);
-                        (result, run, None)
-                    })
-                    .collect()
+            } else if wave.len() > 1 {
+                wave.par_iter().map(cold).collect()
             } else {
-                wave.iter()
-                    .map(|&i| {
-                        let (result, run) = self.evaluate(&order[i], None);
-                        (result, run, None)
-                    })
-                    .collect()
+                wave.iter().map(cold).collect()
             };
 
             // --- Deterministic commit in lexicographic order. A member
@@ -2327,7 +2114,7 @@ impl<'e> SweepEngine<'e> {
             SweepStatus::Complete => PruneCheckpoint::default(),
             SweepStatus::Stopped { .. } => PruneCheckpoint { replayable },
         };
-        PrunedGridSweep {
+        Ok(PrunedGridSweep {
             sweep: GridSweep {
                 layers: layers.to_vec(),
                 points,
@@ -2339,11 +2126,11 @@ impl<'e> SweepEngine<'e> {
             seed_wins,
             status,
             checkpoint,
-        }
+        })
     }
 }
 
-/// Default per-axis subdivision depth of [`sweep_grid_refined`]: each
+/// Default per-axis subdivision depth of [`try_sweep_grid_refined_with`]: each
 /// coarse axis interval gains up to `2^REFINE_DEPTH - 1` interior points,
 /// so the default three-axis grid4 lattice virtualizes 10⁵+ points.
 pub const REFINE_DEPTH: usize = 4;
@@ -2356,7 +2143,7 @@ pub const REFINE_DEPTH: usize = 4;
 /// runs bit-identical.
 pub const REFINE_CERT_CHUNK: usize = 32;
 
-/// Tuning knobs for [`sweep_grid_refined_with`].
+/// Tuning knobs for [`try_sweep_grid_refined_with`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct RefineOptions {
     /// Per-axis subdivision depth (1..=16, validated; default
@@ -2397,14 +2184,6 @@ impl Default for RefineOptions {
 }
 
 impl RefineOptions {
-    /// The default options under the given budget.
-    pub fn with_budget(budget: ExploreBudget) -> Self {
-        RefineOptions {
-            budget,
-            ..RefineOptions::default()
-        }
-    }
-
     /// The default options with parallelism toggled.
     pub fn with_parallel(parallel: bool) -> Self {
         RefineOptions {
@@ -2426,7 +2205,7 @@ impl RefineOptions {
     }
 }
 
-/// Bookkeeping of one [`sweep_grid_refined`] run.
+/// Bookkeeping of one [`try_sweep_grid_refined_with`] run.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct RefineStats {
     /// Points of the coarse (phase-0) lattice — all evaluated.
@@ -2465,7 +2244,7 @@ impl RefineStats {
     }
 }
 
-/// Result of [`sweep_grid_refined`]: the committed points (sorted
+/// Result of [`try_sweep_grid_refined_with`]: the committed points (sorted
 /// lexicographically, like [`GridSweep`]) plus the refinement
 /// bookkeeping. The Pareto accessors select, point for point, the
 /// frontier of the exhaustive *virtual fine lattice*
@@ -2504,21 +2283,29 @@ impl RefinedGridSweep {
     /// [`MhlaError::BudgetExhausted`] / [`MhlaError::Cancelled`].
     pub fn require_complete(self) -> Result<Self, MhlaError> {
         let total = usize::try_from(self.stats.virtual_points).unwrap_or(usize::MAX);
-        match self.status {
-            SweepStatus::Complete => Ok(self),
-            SweepStatus::Stopped {
-                cause: StopCause::Cancelled,
-                ..
-            } => Err(MhlaError::Cancelled {
-                committed: self.stats.evaluated,
-                total,
-            }),
-            SweepStatus::Stopped { cause, .. } => Err(MhlaError::BudgetExhausted {
-                cause,
-                committed: self.stats.evaluated,
-                total,
-            }),
+        self.status.require_complete(self.stats.evaluated, total)?;
+        Ok(self)
+    }
+}
+
+impl Explored for RefinedGridSweep {
+    fn empty(layers: Vec<LayerId>) -> Self {
+        RefinedGridSweep {
+            sweep: GridSweep {
+                layers,
+                points: Vec::new(),
+            },
+            stats: RefineStats::default(),
+            waves: 0,
+            search_legs: 0,
+            seed_wins: 0,
+            status: SweepStatus::Complete,
+            checkpoint: RefineCheckpoint::default(),
         }
+    }
+
+    fn is_complete(&self) -> bool {
+        self.status.is_complete()
     }
 }
 
@@ -2664,9 +2451,21 @@ enum RefineSeeds<'m> {
 }
 
 /// The mutable committed state of one refinement run, threaded through
-/// the batches. `points`/`run_stats` stay aligned index for index; the
-/// lexicographic sort happens once at assembly.
+/// the batches, plus the run's fixed certificate rules. `points` and
+/// `run_stats` stay aligned index for index; the lexicographic sort
+/// happens once at assembly.
 struct RefineState {
+    /// [`SearchMode::Improving`] is selected.
+    improving: bool,
+    /// The saturation certificates can arm (the instrumented greedy
+    /// search).
+    saturation_armed: bool,
+    /// The objective's energy weight (the gain-bound scale).
+    energy_weight: f64,
+    /// The configured objective.
+    objective: Objective,
+    /// The memoized cost floors of the run's points.
+    floor_cache: FloorCache,
     /// Committed results of a resumed prior run, replayed for free.
     replay: HashMap<Vec<u64>, (MhlaResult, RunStats)>,
     /// Improving-mode committed assignments.
@@ -2694,26 +2493,32 @@ struct RefineState {
 }
 
 impl RefineState {
-    #[allow(clippy::too_many_arguments)]
-    fn commit(
-        &mut self,
-        caps: &[u64],
-        result: MhlaResult,
-        run: RunStats,
-        seed_win: bool,
-        fresh: bool,
-        improving: bool,
-        saturation_armed: bool,
-        objective: &Objective,
-    ) {
-        if fresh {
-            self.search_legs += run.search_legs;
-            self.seed_wins += usize::from(seed_win);
-        }
-        if saturation_armed && run.tracked && run.cold_result_kept {
+    /// Commits the resumed prior run's result at `caps`, if it has one —
+    /// free, like every replay. Returns whether it did.
+    fn replay(&mut self, caps: &[u64]) -> bool {
+        let Some((result, run)) = self.replay.get(caps).cloned() else {
+            return false;
+        };
+        self.commit(caps, result, run);
+        true
+    }
+
+    /// Commits a freshly searched point (counted against the budget and
+    /// in the leg/seed-win bookkeeping).
+    fn commit_fresh(&mut self, caps: &[u64], result: MhlaResult, run: RunStats, seed_win: bool) {
+        self.fresh += 1;
+        self.search_legs += run.search_legs;
+        self.seed_wins += usize::from(seed_win);
+        self.commit(caps, result, run);
+    }
+
+    /// Commits one point: certificate candidates, improving seeds,
+    /// incumbents and the result itself.
+    fn commit(&mut self, caps: &[u64], result: MhlaResult, run: RunStats) {
+        if self.saturation_armed && run.tracked && run.cold_result_kept {
             self.masks.push((caps.to_vec(), run.clone()));
         }
-        if improving {
+        if self.improving {
             self.seeds.commit(caps, result.assignment.clone());
             self.last_committed = Some(caps.to_vec());
         }
@@ -2721,7 +2526,7 @@ impl RefineState {
             capacities: caps.to_vec(),
             cycles: result.mhla_te_cycles(),
             energy_pj: result.mhla_energy_pj(),
-            score: objective.score(&result.assignment_cost),
+            score: self.objective.score(&result.assignment_cost),
         });
         self.seen.insert(caps.to_vec());
         self.run_stats.push(run);
@@ -2787,46 +2592,28 @@ fn replay_grows_to(
 
 impl<'e> SweepEngine<'e> {
     /// The point-level certification of one pending corner against the
-    /// committed state — exactly [`sweep_grid_pruned`]'s two skip rules
+    /// committed state — exactly [`try_sweep_grid_pruned_with`]'s two skip rules
     /// (saturation first, cost floor second), with the saturation rule
     /// extended by the per-layer rejection floors
     /// ([`replay_grows_to`]). A certified corner is dominated on both
     /// result surfaces (the objective-score surface in improving mode)
     /// by a committed point and needs no search.
-    fn point_certified(
-        &self,
-        caps: &[u64],
-        st: &RefineState,
-        floor_cache: &mut FloorCache,
-        saturation_armed: bool,
-        energy_weight: f64,
-        improving: bool,
-    ) -> bool {
-        if saturation_armed
+    fn point_certified(&self, caps: &[u64], st: &mut RefineState) -> bool {
+        if st.saturation_armed
             && st.masks.iter().any(|(q, run)| {
-                caps_dominate(q, caps) && replay_grows_to(q, run, caps, self.layers, energy_weight)
+                caps_dominate(q, caps)
+                    && replay_grows_to(q, run, caps, self.layers, st.energy_weight)
             })
         {
             return true;
         }
-        let floor = floor_cache.floor_at(caps);
-        if improving {
-            match floor_objective_score(&self.ctx.config().objective, &floor) {
-                Some(floor_score) => st
-                    .evaluated
-                    .iter()
-                    .any(|q| caps_dominate(&q.capacities, caps) && q.score <= floor_score),
-                None => false,
-            }
-        } else {
-            st.evaluated
-                .iter()
-                .any(|q| caps_dominate(&q.capacities, caps) && q.cycles <= floor.cycles)
-                && st
-                    .evaluated
-                    .iter()
-                    .any(|q| caps_dominate(&q.capacities, caps) && q.energy_pj <= floor.energy_pj)
-        }
+        let floor = st.floor_cache.floor_at(caps);
+        floor_dominated(
+            &st.evaluated,
+            caps,
+            &floor,
+            st.improving.then_some(&st.objective),
+        )
     }
 
     /// Evaluates one lex-ordered batch of refinement points, committing
@@ -2847,49 +2634,30 @@ impl<'e> SweepEngine<'e> {
     /// sweep's chunked scheduler; commits stop at the first uncommitted
     /// gap so the committed set is always a lex prefix of the batch's
     /// searched points.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn refine_eval_batch(
         &self,
         batch: &[Vec<u64>],
         seeds_from: &RefineSeeds<'_>,
         opts: &RefineOptions,
-        saturation_armed: bool,
-        energy_weight: f64,
-        floor_cache: &mut FloorCache,
         st: &mut RefineState,
     ) -> Option<StopCause> {
-        for chunk in batch.chunks(REFINE_CERT_CHUNK) {
-            if let Some(cause) = self.refine_eval_chunk(
-                chunk,
-                seeds_from,
-                opts,
-                saturation_armed,
-                energy_weight,
-                floor_cache,
-                st,
-            ) {
-                return Some(cause);
-            }
-        }
-        None
+        batch
+            .chunks(REFINE_CERT_CHUNK)
+            .find_map(|chunk| self.refine_eval_chunk(chunk, seeds_from, opts, st))
     }
 
     /// One fixed-size chunk of [`refine_eval_batch`]: certification
     /// against the chunk-start state, then evaluation and in-order
     /// commits.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_lines)]
     fn refine_eval_chunk(
         &self,
         batch: &[Vec<u64>],
         seeds_from: &RefineSeeds<'_>,
         opts: &RefineOptions,
-        saturation_armed: bool,
-        energy_weight: f64,
-        floor_cache: &mut FloorCache,
         st: &mut RefineState,
     ) -> Option<StopCause> {
-        let objective = &self.ctx.config().objective;
-        let improving = opts.mode == SearchMode::Improving;
+        let improving = st.improving;
         let budget = &opts.budget;
 
         // Certification pass, upfront against the chunk-start state: a
@@ -2901,14 +2669,7 @@ impl<'e> SweepEngine<'e> {
             if st.replay.contains_key(caps) {
                 continue;
             }
-            if self.point_certified(
-                caps,
-                st,
-                floor_cache,
-                saturation_armed,
-                energy_weight,
-                improving,
-            ) {
+            if self.point_certified(caps, st) {
                 certified[i] = true;
             }
         }
@@ -2920,21 +2681,7 @@ impl<'e> SweepEngine<'e> {
 
         if improving || !opts.parallel {
             for (i, caps) in batch.iter().enumerate() {
-                if certified[i] {
-                    continue;
-                }
-                if let Some((result, run)) = st.replay.get(caps) {
-                    let (result, run) = (result.clone(), run.clone());
-                    st.commit(
-                        caps,
-                        result,
-                        run,
-                        false,
-                        false,
-                        improving,
-                        saturation_armed,
-                        objective,
-                    );
+                if certified[i] || st.replay(caps) {
                     continue;
                 }
                 if let Some(cause) = budget.stop(st.fresh) {
@@ -2965,17 +2712,7 @@ impl<'e> SweepEngine<'e> {
                     let (result, run) = self.evaluate(caps, None);
                     (result, run, false)
                 };
-                st.fresh += 1;
-                st.commit(
-                    caps,
-                    result,
-                    run,
-                    seed_win,
-                    true,
-                    improving,
-                    saturation_armed,
-                    objective,
-                );
+                st.commit_fresh(caps, result, run, seed_win);
             }
             return None;
         }
@@ -3013,37 +2750,11 @@ impl<'e> SweepEngine<'e> {
         let mut results: HashMap<usize, Option<(MhlaResult, RunStats)>> =
             evaluated.into_iter().collect();
         for (i, caps) in batch.iter().enumerate() {
-            if certified[i] {
-                continue;
-            }
-            if let Some((result, run)) = st.replay.get(caps) {
-                let (result, run) = (result.clone(), run.clone());
-                st.commit(
-                    caps,
-                    result,
-                    run,
-                    false,
-                    false,
-                    improving,
-                    saturation_armed,
-                    objective,
-                );
+            if certified[i] || st.replay(caps) {
                 continue;
             }
             match results.remove(&i) {
-                Some(Some((result, run))) => {
-                    st.fresh += 1;
-                    st.commit(
-                        caps,
-                        result,
-                        run,
-                        false,
-                        true,
-                        improving,
-                        saturation_armed,
-                        objective,
-                    );
-                }
+                Some(Some((result, run))) => st.commit_fresh(caps, result, run, false),
                 Some(None) => return Some(trip.cause().unwrap_or(StopCause::Deadline)),
                 None => return Some(StopCause::MaxEvals),
             }
@@ -3052,7 +2763,7 @@ impl<'e> SweepEngine<'e> {
     }
 
     /// The adaptive refinement scheduler (the body of
-    /// [`sweep_grid_refined_with`]): phase 0 evaluates the coarse
+    /// [`try_sweep_grid_refined_with`]): phase 0 evaluates the coarse
     /// lattice, then refinement waves classify every open cell against
     /// the state committed *before* the wave — saturation certificate
     /// first, cost-floor certificate second, split third — and evaluate
@@ -3080,6 +2791,11 @@ impl<'e> SweepEngine<'e> {
         let energy_weight = config.objective.energy_weight();
 
         let mut st = RefineState {
+            improving,
+            saturation_armed,
+            energy_weight,
+            objective: config.objective,
+            floor_cache: FloorCache::new(self.ctx.floor_probe(self.platform, layers)),
             replay: HashMap::new(),
             seeds: SeedCache::new(),
             last_committed: None,
@@ -3110,20 +2826,10 @@ impl<'e> SweepEngine<'e> {
         };
         let mut waves = 0usize;
 
-        let mut floor_cache = FloorCache::new(self.ctx.floor_probe(self.platform, layers));
-
         // Phase 0: the coarse lattice, in lexicographic order.
         let coarse = cartesian(coarse_axes);
         stats.coarse_points = coarse.len();
-        if let Some(cause) = self.refine_eval_batch(
-            &coarse,
-            &RefineSeeds::Grid,
-            opts,
-            saturation_armed,
-            energy_weight,
-            &mut floor_cache,
-            &mut st,
-        ) {
+        if let Some(cause) = self.refine_eval_batch(&coarse, &RefineSeeds::Grid, opts, &mut st) {
             let next_lex = st.points.len();
             return self.assemble_refined(
                 st,
@@ -3168,7 +2874,7 @@ impl<'e> SweepEngine<'e> {
                     stats.cells_closed_mask += 1;
                     continue;
                 }
-                let floor = floor_cache.floor_at(&cell.lo);
+                let floor = st.floor_cache.floor_at(&cell.lo);
                 let mut probe: Vec<f64> = cell.lo.iter().map(|&c| c as f64).collect();
                 let floor_dominated = if improving {
                     match floor_objective_score(&config.objective, &floor) {
@@ -3206,15 +2912,9 @@ impl<'e> SweepEngine<'e> {
                 }
             }
             let batch: Vec<Vec<u64>> = pending.keys().cloned().collect();
-            if let Some(cause) = self.refine_eval_batch(
-                &batch,
-                &RefineSeeds::Corners(&pending),
-                opts,
-                saturation_armed,
-                energy_weight,
-                &mut floor_cache,
-                &mut st,
-            ) {
+            if let Some(cause) =
+                self.refine_eval_batch(&batch, &RefineSeeds::Corners(&pending), opts, &mut st)
+            {
                 let next_lex = st.points.len();
                 status = SweepStatus::Stopped { cause, next_lex };
                 break;
@@ -3265,7 +2965,7 @@ impl<'e> SweepEngine<'e> {
 /// still change the Pareto front, until the virtual fine lattice
 /// (`2^`[`REFINE_DEPTH`] interior points per coarse interval per axis)
 /// is reached or closed. A cell is closed without subdivision only under
-/// a certificate — mirroring [`sweep_grid_pruned`]'s two skip rules,
+/// a certificate — mirroring [`try_sweep_grid_pruned_with`]'s two skip rules,
 /// lifted from points to boxes:
 ///
 /// 1. **Saturation certificate.** A committed cold-kept run at
@@ -3286,54 +2986,12 @@ impl<'e> SweepEngine<'e> {
 /// (`tests/refine_equivalence.rs`), at a small fraction of its
 /// evaluations ([`RefineStats::eval_ratio`]).
 ///
-/// # Panics
-///
-/// Panics if any axis names the off-chip layer or a layer out of range,
-/// or if any capacity is zero.
-pub fn sweep_grid_refined(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> RefinedGridSweep {
-    sweep_grid_refined_with(program, platform, axes, config, RefineOptions::default())
-}
-
-/// [`sweep_grid_refined`] with explicit [`RefineOptions`].
-pub fn sweep_grid_refined_with(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-    opts: RefineOptions,
-) -> RefinedGridSweep {
-    match try_sweep_grid_refined_with(program, platform, axes, config, &opts) {
-        Ok(run) => run,
-        Err(e) => panic!("sweep_grid_refined_with: {e}"),
-    }
-}
-
-/// Fallible [`sweep_grid_refined`]: validated ingress, typed errors.
+/// Validates the program, platform, configuration, axes and refinement
+/// options up front, then runs the budget-aware refinement scheduler.
 ///
 /// # Errors
 ///
-/// As [`try_sweep`].
-pub fn try_sweep_grid_refined(
-    program: &Program,
-    platform: &Platform,
-    axes: &[GridAxis],
-    config: &MhlaConfig,
-) -> Result<RefinedGridSweep, MhlaError> {
-    try_sweep_grid_refined_with(program, platform, axes, config, &RefineOptions::default())
-}
-
-/// Fallible [`sweep_grid_refined_with`]: validates the program,
-/// platform, configuration, axes and refinement options up front, then
-/// runs the budget-aware refinement scheduler.
-///
-/// # Errors
-///
-/// As [`try_sweep`], plus [`MhlaError::InvalidOptions`] for an
+/// As [`try_sweep_grid_run`], plus [`MhlaError::InvalidOptions`] for an
 /// out-of-range subdivision depth or duplicate axis layers. Budget
 /// exhaustion is *not* an error — the run comes back `Ok` with
 /// [`SweepStatus::Stopped`]; use [`RefinedGridSweep::require_complete`]
@@ -3345,48 +3003,22 @@ pub fn try_sweep_grid_refined_with(
     config: &MhlaConfig,
     opts: &RefineOptions,
 ) -> Result<RefinedGridSweep, MhlaError> {
-    error::validate_run_ingress(program, platform, config)?;
-    error::validate_axes(platform, axes)?;
-    error::validate_refine_options(axes, opts)?;
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    let coarse: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
-    if coarse.is_empty() || coarse.iter().any(Vec::is_empty) {
-        return Ok(RefinedGridSweep {
-            sweep: GridSweep {
-                layers,
-                points: Vec::new(),
-            },
-            stats: RefineStats::default(),
-            waves: 0,
-            search_legs: 0,
-            seed_wins: 0,
-            status: SweepStatus::Complete,
-            checkpoint: RefineCheckpoint::default(),
-        });
-    }
-    let fine: Vec<Vec<u64>> = coarse.iter().map(|a| refine_axis(a, opts.depth)).collect();
-    let ctx = ExplorationContext::new(program, platform, config.clone());
-    // Built literally, not through `SweepEngine::new`: the fine lattice's
-    // Cartesian product is deliberately never materialized (it is the
-    // *virtual* lattice — at depth 16 it would not fit in memory).
-    let engine = SweepEngine {
-        ctx: &ctx,
+    explore(
+        Source::Fresh(program, config),
         platform,
-        layers: &layers,
-        axis_caps: &fine,
-        order: Vec::new(),
-    };
-    Ok(engine.run_refined(&coarse, opts, None))
+        axes,
+        error::validate_refine_options(axes, opts),
+        None,
+        |ctx, layers, coarse| refine(ctx, platform, layers, coarse, opts, None),
+    )
 }
 
 /// Resumes a stopped [`try_sweep_grid_refined_with`] and returns the
 /// *merged* run, again budget-aware. Must be called with the same
 /// program/platform/axes/config/options the prior run used (checked
 /// where cheaply possible); resuming a complete run returns it
-/// unchanged.
+/// unchanged, resuming over an empty grid returns the empty complete
+/// run.
 ///
 /// The deterministic scheduler re-runs from the start with the prior
 /// run's committed points replayed for free (the budget counts fresh
@@ -3406,52 +3038,65 @@ pub fn try_sweep_grid_refined_resume(
     opts: &RefineOptions,
     prior: &RefinedGridSweep,
 ) -> Result<RefinedGridSweep, MhlaError> {
-    error::validate_run_ingress(program, platform, config)?;
-    error::validate_axes(platform, axes)?;
-    error::validate_refine_options(axes, opts)?;
-    let next_lex = match prior.status {
-        SweepStatus::Complete => return Ok(prior.clone()),
-        SweepStatus::Stopped { next_lex, .. } => next_lex,
-    };
-    let layers: Vec<LayerId> = axes.iter().map(|a| a.layer).collect();
-    if prior.sweep.layers != layers {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run's axis layers do not match".into(),
-        });
-    }
-    if next_lex != prior.sweep.points.len()
-        || prior.checkpoint.run_stats.len() != prior.sweep.points.len()
-    {
-        return Err(MhlaError::InvalidOptions {
-            what: "resume: the prior run's bookkeeping does not match its points".into(),
-        });
-    }
-    let coarse: Vec<Vec<u64>> = axes
-        .iter()
-        .map(|a| clean_capacities(&a.capacities))
-        .collect();
+    explore(
+        Source::Fresh(program, config),
+        platform,
+        axes,
+        error::validate_refine_options(axes, opts),
+        Some(prior),
+        |ctx, layers, coarse| refine(ctx, platform, layers, coarse, opts, Some(prior)),
+    )
+}
+
+/// The refinement strategy over the cleaned `coarse` axes: builds the
+/// virtual fine axes, checks a stopped `prior` against them, and runs
+/// the scheduler.
+fn refine(
+    ctx: &ExplorationContext<'_>,
+    platform: &Platform,
+    layers: &[LayerId],
+    coarse: &[Vec<u64>],
+    opts: &RefineOptions,
+    prior: Option<&RefinedGridSweep>,
+) -> Result<RefinedGridSweep, MhlaError> {
     let fine: Vec<Vec<u64>> = coarse.iter().map(|a| refine_axis(a, opts.depth)).collect();
-    for p in &prior.sweep.points {
-        let on_lattice = p.capacities.len() == fine.len()
-            && p.capacities
-                .iter()
-                .zip(&fine)
-                .all(|(c, axis)| axis.binary_search(c).is_ok());
-        if !on_lattice {
+    if let Some(prior) = prior {
+        if prior.sweep.layers != layers {
+            return Err(MhlaError::InvalidOptions {
+                what: "resume: the prior run's axis layers do not match".into(),
+            });
+        }
+        if prior.status.next_lex() != Some(prior.sweep.points.len())
+            || prior.checkpoint.run_stats.len() != prior.sweep.points.len()
+        {
+            return Err(MhlaError::InvalidOptions {
+                what: "resume: the prior run's bookkeeping does not match its points".into(),
+            });
+        }
+        let on_lattice = |caps: &[u64]| {
+            caps.len() == fine.len()
+                && caps
+                    .iter()
+                    .zip(&fine)
+                    .all(|(c, axis)| axis.binary_search(c).is_ok())
+        };
+        if !prior.sweep.points.iter().all(|p| on_lattice(&p.capacities)) {
             return Err(MhlaError::InvalidOptions {
                 what: "resume: a prior point is off this refinement lattice".into(),
             });
         }
     }
-    let ctx = ExplorationContext::new(program, platform, config.clone());
+    // Built literally, not through `SweepEngine::new`: the fine lattice's
+    // Cartesian product is deliberately never materialized (it is the
+    // *virtual* lattice — at depth 16 it would not fit in memory).
     let engine = SweepEngine {
-        ctx: &ctx,
+        ctx,
         platform,
-        layers: &layers,
+        layers,
         axis_caps: &fine,
         order: Vec::new(),
     };
-    Ok(engine.run_refined(&coarse, opts, Some(prior)))
+    Ok(engine.run_refined(coarse, opts, prior))
 }
 
 #[cfg(test)]
@@ -3477,16 +3122,41 @@ mod tests {
         b.finish()
     }
 
+    /// The exhaustive cold sweep under `opts`, default config.
+    fn run(p: &Program, pf: &Platform, axes: &[GridAxis], opts: SweepOptions) -> GridSweepRun {
+        try_sweep_grid_run(p, pf, axes, &MhlaConfig::default(), &opts).expect("grid sweep")
+    }
+
+    /// The default exhaustive sweep's grid.
+    fn grid(p: &Program, pf: &Platform, axes: &[GridAxis]) -> GridSweep {
+        run(p, pf, axes, SweepOptions::default()).sweep
+    }
+
+    /// The default 1-axis sweep of layer 1.
+    fn one_layer(p: &Program, pf: &Platform, caps: &[u64]) -> GridSweep {
+        grid(p, pf, &[GridAxis::new(LayerId(1), caps)])
+    }
+
+    /// The refinement under `opts`, default config.
+    fn refined(
+        p: &Program,
+        pf: &Platform,
+        axes: &[GridAxis],
+        opts: &RefineOptions,
+    ) -> RefinedGridSweep {
+        try_sweep_grid_refined_with(p, pf, axes, &MhlaConfig::default(), opts).expect("refinement")
+    }
+
     #[test]
     fn sweep_is_monotone_enough_and_pareto_is_sane() {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
         let caps: Vec<u64> = vec![32, 64, 128, 256, 512, 1024, 4096];
-        let s = sweep(&p, &pf, LayerId(1), &caps, &MhlaConfig::default());
+        let s = one_layer(&p, &pf, &caps);
         assert_eq!(s.points.len(), caps.len());
         // Capacities ascend.
         for w in s.points.windows(2) {
-            assert!(w[0].capacity < w[1].capacity);
+            assert!(w[0].capacities < w[1].capacities);
         }
         // The Pareto front is non-empty, ascending in capacity and strictly
         // descending in cycles.
@@ -3504,13 +3174,7 @@ mod tests {
     fn bigger_scratchpads_never_hurt_cycles_on_the_front() {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
-        let s = sweep(
-            &p,
-            &pf,
-            LayerId(1),
-            &default_capacities(),
-            &MhlaConfig::default(),
-        );
+        let s = one_layer(&p, &pf, &default_capacities());
         let front = s.pareto_energy();
         for w in front.windows(2) {
             assert!(s.points[w[0]].energy_pj() > s.points[w[1]].energy_pj());
@@ -3521,13 +3185,7 @@ mod tests {
     fn duplicate_capacities_are_deduped() {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
-        let s = sweep(
-            &p,
-            &pf,
-            LayerId(1),
-            &[256, 256, 512],
-            &MhlaConfig::default(),
-        );
+        let s = one_layer(&p, &pf, &[256, 256, 512]);
         assert_eq!(s.points.len(), 2);
     }
 
@@ -3539,7 +3197,7 @@ mod tests {
             GridAxis::new(LayerId(1), vec![1024u64, 4096]),
             GridAxis::new(LayerId(2), vec![512u64, 128, 256]),
         ];
-        let g = sweep_grid(&p, &pf, &axes, &MhlaConfig::default());
+        let g = grid(&p, &pf, &axes);
         assert_eq!(g.layers, vec![LayerId(1), LayerId(2)]);
         assert_eq!(g.points.len(), 6);
         let caps: Vec<Vec<u64>> = g.points.iter().map(|p| p.capacities.clone()).collect();
@@ -3565,7 +3223,7 @@ mod tests {
             GridAxis::new(LayerId(1), vec![1024u64, 4096]),
             GridAxis::new(LayerId(2), vec![128u64, 512]),
         ];
-        let g = sweep_grid(&p, &pf, &axes, &MhlaConfig::default());
+        let g = grid(&p, &pf, &axes);
         for point in &g.points {
             let standalone = pf.with_layer_capacities(&[
                 (LayerId(1), point.capacities[0]),
@@ -3577,24 +3235,55 @@ mod tests {
     }
 
     #[test]
-    fn single_axis_grid_is_exactly_the_sweep() {
+    fn single_axis_grid_matches_the_cold_reference_sweep() {
         let p = blocked();
         let pf = Platform::embedded_default(1024);
-        let caps: Vec<u64> = vec![64, 128, 512, 2048];
-        let s = sweep(&p, &pf, LayerId(1), &caps, &MhlaConfig::default());
-        let g = sweep_grid(
-            &p,
-            &pf,
-            &[GridAxis::new(LayerId(1), caps)],
-            &MhlaConfig::default(),
-        );
-        assert_eq!(g.points.len(), s.points.len());
-        for (gp, sp) in g.points.iter().zip(&s.points) {
-            assert_eq!(gp.capacities, vec![sp.capacity]);
-            assert_eq!(gp.result, sp.result);
+        let caps: Vec<u64> = vec![2048, 64, 128, 512, 64];
+        let reference = sweep_cold(&p, &pf, LayerId(1), &caps, &MhlaConfig::default());
+        let g = one_layer(&p, &pf, &caps);
+        assert_eq!(g.layers, reference.layers);
+        assert_eq!(g.points.len(), 4, "sorted and deduped");
+        for (gp, rp) in g.points.iter().zip(&reference.points) {
+            assert_eq!(gp.capacities, rp.capacities);
+            assert_eq!(gp.cycles(), rp.cycles());
+            assert_eq!(gp.energy_pj(), rp.energy_pj());
         }
-        assert_eq!(g.pareto_cycles(), s.pareto_cycles());
-        assert_eq!(g.pareto_energy(), s.pareto_energy());
+        assert_eq!(g.pareto_cycles(), reference.pareto_cycles());
+        assert_eq!(g.pareto_energy(), reference.pareto_energy());
+    }
+
+    #[test]
+    fn default_axes_pin_the_standard_grid_per_depth() {
+        let pow2 = |lo: u32, hi: u32| -> Vec<u64> { (lo..=hi).map(|e| 1u64 << e).collect() };
+        let two = Platform::embedded_default(1024);
+        assert_eq!(two.layer_count(), 2);
+        assert_eq!(
+            default_axes(&two),
+            vec![GridAxis::new(LayerId(1), pow2(7, 17))]
+        );
+        let three = Platform::three_level_default();
+        assert_eq!(
+            default_axes(&three),
+            vec![
+                GridAxis::new(LayerId(1), pow2(10, 14)),
+                GridAxis::new(LayerId(2), pow2(7, 9)),
+            ]
+        );
+        let four = Platform::four_level_default();
+        let axes = default_axes(&four);
+        assert_eq!(
+            axes,
+            vec![
+                GridAxis::new(
+                    LayerId(1),
+                    vec![16384, 32768, 65536, 131072, 262144, 196608]
+                ),
+                GridAxis::new(LayerId(2), pow2(11, 15)),
+                GridAxis::new(LayerId(3), pow2(8, 10)),
+            ]
+        );
+        let points: usize = axes.iter().map(|a| a.capacities.len()).product();
+        assert_eq!(points, 90);
     }
 
     #[test]
@@ -3605,7 +3294,7 @@ mod tests {
             GridAxis::new(LayerId(1), vec![512u64, 1024, 4096]),
             GridAxis::new(LayerId(2), vec![64u64, 128, 512]),
         ];
-        let g = sweep_grid(&p, &pf, &axes, &MhlaConfig::default());
+        let g = grid(&p, &pf, &axes);
         let front = g.pareto_cycles();
         assert!(!front.is_empty());
         for &i in &front {
@@ -3654,21 +3343,20 @@ mod tests {
             GridAxis::new(LayerId(2), vec![64u64, 256, 512]),
         ];
         let config = MhlaConfig::default();
-        let cold = sweep_grid_with(
+        let cold = run(
             &p,
             &pf,
             &axes,
-            &config,
             SweepOptions {
                 warm_start: false,
                 ..SweepOptions::default()
             },
-        );
-        let run = sweep_grid_run(
+        )
+        .sweep;
+        let run = run(
             &p,
             &pf,
             &axes,
-            &config,
             SweepOptions {
                 mode: SearchMode::Improving,
                 ..SweepOptions::default()
@@ -3701,32 +3389,32 @@ mod tests {
             GridAxis::new(LayerId(1), vec![512u64, 1024, 4096]),
             GridAxis::new(LayerId(2), vec![64u64, 256, 512]),
         ];
-        let config = MhlaConfig::default();
-        let reference = sweep_grid_run(
+        let reference = run(
             &p,
             &pf,
             &axes,
-            &config,
             SweepOptions {
                 mode: SearchMode::Improving,
                 ..SweepOptions::default()
             },
         );
         for parallel in [false, true] {
-            for chunk in [1usize, 2, 64] {
-                let other = sweep_grid_run(
+            for warm_start in [false, true] {
+                let other = run(
                     &p,
                     &pf,
                     &axes,
-                    &config,
                     SweepOptions {
                         mode: SearchMode::Improving,
                         parallel,
-                        chunk,
+                        warm_start,
                         ..SweepOptions::default()
                     },
                 );
-                assert_eq!(reference, other, "parallel={parallel} chunk={chunk}");
+                assert_eq!(
+                    reference, other,
+                    "parallel={parallel} warm_start={warm_start}"
+                );
             }
         }
     }
@@ -3735,16 +3423,15 @@ mod tests {
     fn grid_handles_degenerate_axis_lists() {
         let p = blocked();
         let pf = Platform::three_level(4096, 512);
-        let empty = sweep_grid(&p, &pf, &[], &MhlaConfig::default());
+        let empty = grid(&p, &pf, &[]);
         assert!(empty.points.is_empty());
-        let empty_axis = sweep_grid(
+        let empty_axis = grid(
             &p,
             &pf,
             &[
                 GridAxis::new(LayerId(1), vec![1024u64]),
                 GridAxis::new(LayerId(2), Vec::new()),
             ],
-            &MhlaConfig::default(),
         );
         assert!(empty_axis.points.is_empty());
     }
@@ -3814,7 +3501,14 @@ mod tests {
         let p = b.finish();
         let pf = Platform::embedded_default(16384);
         let axes = [GridAxis::new(LayerId(1), vec![16384u64, 65536])];
-        let run = sweep_grid_pruned(&p, &pf, &axes, &MhlaConfig::default());
+        let run = try_sweep_grid_pruned_with(
+            &p,
+            &pf,
+            &axes,
+            &MhlaConfig::default(),
+            &PruneOptions::default(),
+        )
+        .expect("pruned sweep");
         assert_eq!(run.stats.evaluated, 1, "only the tight point runs");
         assert_eq!(run.stats.skipped_floor, 1, "the grown point is floored");
         assert_eq!(run.stats.skipped_saturated, 0, "saturation is disarmed");
@@ -3828,15 +3522,14 @@ mod tests {
             GridAxis::new(LayerId(1), vec![1024u64, 4096]),
             GridAxis::new(LayerId(2), vec![128u64, 512]),
         ];
-        let config = MhlaConfig::default();
         let opts = RefineOptions::default().depth(2);
-        let refined = sweep_grid_refined_with(&p, &pf, &axes, &config, opts.clone());
+        let refined = refined(&p, &pf, &axes, &opts);
         assert!(refined.status.is_complete());
         let fine_axes: Vec<GridAxis> = axes
             .iter()
             .map(|a| GridAxis::new(a.layer, refine_axis(&a.capacities, opts.depth)))
             .collect();
-        let exhaustive = sweep_grid(&p, &pf, &fine_axes, &config);
+        let exhaustive = grid(&p, &pf, &fine_axes);
         assert_eq!(refined.stats.virtual_points, exhaustive.points.len() as u64);
         assert!(refined.stats.evaluated <= exhaustive.points.len());
         let frontier = |g: &GridSweep, idx: Vec<usize>| -> Vec<GridPoint> {
@@ -3864,15 +3557,14 @@ mod tests {
         ];
         let config = MhlaConfig::default();
         let base = RefineOptions::default().depth(1);
-        let uninterrupted = sweep_grid_refined_with(&p, &pf, &axes, &config, base.clone());
+        let uninterrupted = refined(&p, &pf, &axes, &base);
         assert!(uninterrupted.status.is_complete());
         for max in [1usize, 3, 5] {
-            let stopped = sweep_grid_refined_with(
+            let stopped = refined(
                 &p,
                 &pf,
                 &axes,
-                &config,
-                base.clone().budget(ExploreBudget::max_evals(max)),
+                &base.clone().budget(ExploreBudget::max_evals(max)),
             );
             assert_eq!(
                 stopped.status.next_lex(),
@@ -3899,10 +3591,9 @@ mod tests {
             mode: SearchMode::Improving,
             ..RefineOptions::default()
         };
-        let improving = sweep_grid_refined_with(&p, &pf, &axes, &config, opts.clone());
+        let improving = refined(&p, &pf, &axes, &opts);
         assert!(improving.status.is_complete());
-        let cold =
-            sweep_grid_refined_with(&p, &pf, &axes, &config, RefineOptions::default().depth(1));
+        let cold = refined(&p, &pf, &axes, &RefineOptions::default().depth(1));
         let surface = |run: &RefinedGridSweep| -> Vec<Vec<f64>> {
             run.sweep
                 .pareto_objective(&config.objective)
@@ -3951,20 +3642,19 @@ mod tests {
     fn refined_handles_degenerate_axis_lists() {
         let p = blocked();
         let pf = Platform::three_level(4096, 512);
-        let empty = sweep_grid_refined(&p, &pf, &[], &MhlaConfig::default());
+        let empty = refined(&p, &pf, &[], &RefineOptions::default());
         assert!(empty.sweep.points.is_empty());
         assert!(empty.status.is_complete());
         // A single-point axis cannot refine but still sweeps cleanly
         // alongside a refining one.
-        let single = sweep_grid_refined_with(
+        let single = refined(
             &p,
             &pf,
             &[
                 GridAxis::new(LayerId(1), vec![4096u64]),
                 GridAxis::new(LayerId(2), vec![128u64, 512]),
             ],
-            &MhlaConfig::default(),
-            RefineOptions::default().depth(1),
+            &RefineOptions::default().depth(1),
         );
         assert!(single.status.is_complete());
         assert!(single

@@ -16,9 +16,13 @@
 //! and platforms (unlike `std`'s `DefaultHasher`, whose seeds are
 //! per-process), dependency-free, and wide enough that accidental
 //! collisions are out of the picture for any realistic cache population.
-//! FNV is *not* cryptographic: the cache trusts its submitters not to
-//! engineer collisions, which is the threat model of a result cache (a
-//! poisoned entry only ever answers the poisoner's own key).
+//! FNV is *not* cryptographic, and the cache keys on the fingerprint
+//! alone — it does not keep or compare the canonical bytes. A submitter
+//! who engineers an FNV-1a collision therefore gets the colliding key's
+//! later requests served with the bytes cached under its own submission.
+//! The trust assumption is that every submitter sharing a server is
+//! trusted not to engineer collisions; a server shared with untrusted
+//! submitters needs the canonical bytes kept and compared on every hit.
 
 use mhla_hierarchy::Platform;
 use mhla_ir::Program;

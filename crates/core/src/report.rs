@@ -6,7 +6,7 @@ use mhla_ir::Program;
 use mhla_reuse::ReuseAnalysis;
 
 use crate::driver::MhlaResult;
-use crate::explore::{GridSweep, RefinedGridSweep, Sweep};
+use crate::explore::{GridSweep, RefinedGridSweep};
 use crate::pareto;
 use crate::types::Objective;
 
@@ -98,26 +98,17 @@ pub fn describe(program: &Program, reuse: &ReuseAnalysis, r: &MhlaResult) -> Str
     out
 }
 
-/// CSV of a capacity sweep: `capacity,cycles_baseline,cycles_mhla,
-/// cycles_mhla_te,cycles_ideal,energy_baseline_pj,energy_mhla_pj`.
-pub fn sweep_csv(s: &Sweep) -> String {
-    let mut out = String::from(
-        "capacity,cycles_baseline,cycles_mhla,cycles_mhla_te,cycles_ideal,energy_baseline_pj,energy_mhla_pj\n",
-    );
-    for p in &s.points {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{:.1},{:.1}",
-            p.capacity,
-            p.result.baseline_cycles(),
-            p.result.mhla_cycles(),
-            p.result.mhla_te_cycles(),
-            p.result.ideal_cycles(),
-            p.result.baseline_energy_pj(),
-            p.result.mhla_energy_pj()
-        );
-    }
-    out
+/// CSV of a one-layer capacity sweep (a 1-axis [`GridSweep`]):
+/// `capacity,cycles_baseline,cycles_mhla,cycles_mhla_te,cycles_ideal,
+/// energy_baseline_pj,energy_mhla_pj` — [`grid_csv`] with a plain
+/// `capacity` header.
+///
+/// # Panics
+///
+/// Panics if the sweep has more than one axis.
+pub fn sweep_csv(s: &GridSweep) -> String {
+    assert!(s.layers.len() <= 1, "a capacity sweep has one axis");
+    csv(s, vec!["capacity".to_string()])
 }
 
 /// The fixed cost columns shared by [`sweep_csv`] and [`grid_csv`].
@@ -152,10 +143,19 @@ fn csv_field(s: &str) -> String {
 /// Panics if a point's capacity vector does not match the axis count —
 /// such a `GridSweep` is malformed.
 pub fn grid_csv(g: &GridSweep) -> String {
-    let header: Vec<String> = g
+    let capacity_columns = g
         .layers
         .iter()
         .map(|l| csv_field(&format!("capacity_{l}")))
+        .collect();
+    csv(g, capacity_columns)
+}
+
+/// The body of [`grid_csv`] and [`sweep_csv`]: the given capacity
+/// columns, the cost columns, one row per point.
+fn csv(g: &GridSweep, capacity_columns: Vec<String>) -> String {
+    let header: Vec<String> = capacity_columns
+        .into_iter()
         .chain(COST_COLUMNS.iter().map(|c| c.to_string()))
         .collect();
     let mut out = header.join(",");
@@ -276,7 +276,7 @@ pub fn objective_coords(g: &GridSweep, indices: &[usize], objective: &Objective)
 
 /// Renders the improving-vs-cold comparison of two sweeps of the *same*
 /// grid (same axes, same lexicographic point order — e.g.
-/// [`sweep_grid_run`](crate::explore::sweep_grid_run) in both
+/// [`try_sweep_grid_run`](crate::explore::try_sweep_grid_run) in both
 /// [`SearchMode`](crate::explore::SearchMode)s): one row per strictly
 /// improved point (capacities, cold and improving objective score, the
 /// relative improvement), then a summary line with the objective-frontier
@@ -366,6 +366,18 @@ mod tests {
         (p, reuse, r)
     }
 
+    /// The exhaustive sweep's grid under `opts`, default config.
+    fn grid(
+        p: &Program,
+        pf: &Platform,
+        axes: &[crate::explore::GridAxis],
+        opts: crate::explore::SweepOptions,
+    ) -> GridSweep {
+        crate::explore::try_sweep_grid_run(p, pf, axes, &MhlaConfig::default(), &opts)
+            .expect("grid sweep")
+            .sweep
+    }
+
     #[test]
     fn rows_align_with_headers() {
         let (_, _, r) = result();
@@ -390,14 +402,14 @@ mod tests {
     fn grid_csv_and_frontier_cover_every_axis() {
         let (p, _, _) = result();
         let pf = mhla_hierarchy::Platform::three_level(1024, 128);
-        let g = crate::explore::sweep_grid(
+        let g = grid(
             &p,
             &pf,
             &[
                 crate::explore::GridAxis::new(mhla_hierarchy::LayerId(1), vec![256u64, 1024]),
                 crate::explore::GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
             ],
-            &MhlaConfig::default(),
+            crate::explore::SweepOptions::default(),
         );
         let csv = grid_csv(&g);
         assert!(
@@ -419,7 +431,7 @@ mod tests {
         // when PR 2 generalized the grid to N dimensions).
         let (p, _, _) = result();
         let pf = mhla_hierarchy::Platform::four_level(4096, 1024, 128);
-        let g = crate::explore::sweep_grid(
+        let g = grid(
             &p,
             &pf,
             &[
@@ -427,7 +439,7 @@ mod tests {
                 crate::explore::GridAxis::new(mhla_hierarchy::LayerId(2), vec![512u64, 1024]),
                 crate::explore::GridAxis::new(mhla_hierarchy::LayerId(3), vec![64u64, 128]),
             ],
-            &MhlaConfig::default(),
+            crate::explore::SweepOptions::default(),
         );
         assert_eq!(g.points.len(), 8);
         let csv = grid_csv(&g);
@@ -450,7 +462,7 @@ mod tests {
 
     #[test]
     fn improving_delta_table_reports_improvements_and_dominance() {
-        use crate::explore::{sweep_grid_run, sweep_grid_with, SearchMode, SweepOptions};
+        use crate::explore::{SearchMode, SweepOptions};
         let (p, _, _) = result();
         let pf = mhla_hierarchy::Platform::three_level(1024, 128);
         let axes = [
@@ -458,27 +470,24 @@ mod tests {
             crate::explore::GridAxis::new(mhla_hierarchy::LayerId(2), vec![64u64, 128]),
         ];
         let config = MhlaConfig::default();
-        let cold = sweep_grid_with(
+        let cold = grid(
             &p,
             &pf,
             &axes,
-            &config,
             SweepOptions {
                 warm_start: false,
                 ..SweepOptions::default()
             },
         );
-        let improving = sweep_grid_run(
+        let improving = grid(
             &p,
             &pf,
             &axes,
-            &config,
             SweepOptions {
                 mode: SearchMode::Improving,
                 ..SweepOptions::default()
             },
-        )
-        .sweep;
+        );
         let table = improving_delta_table(&cold, &improving, &config.objective);
         assert!(
             table.contains("M1 [B]") && table.contains("improving"),
@@ -505,12 +514,14 @@ mod tests {
     fn sweep_csv_has_one_line_per_point_plus_header() {
         let (p, _, _) = result();
         let pf = Platform::embedded_default(256);
-        let s = crate::explore::sweep(
+        let s = grid(
             &p,
             &pf,
-            mhla_hierarchy::LayerId(1),
-            &[64, 128],
-            &MhlaConfig::default(),
+            &[crate::explore::GridAxis::new(
+                mhla_hierarchy::LayerId(1),
+                vec![64u64, 128],
+            )],
+            crate::explore::SweepOptions::default(),
         );
         let csv = sweep_csv(&s);
         assert_eq!(csv.lines().count(), 3);

@@ -5,23 +5,25 @@
 //!
 //! Run with `cargo run --release --example tradeoff_exploration`.
 
-use mhla::core::explore::{default_capacities, sweep};
+use mhla::core::explore::{default_capacities, try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla::core::{report, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
 
 fn main() {
     let app = mhla_apps::cavity_detect::app();
     let platform = Platform::embedded_default(1024);
-    let caps = default_capacities();
+    let axes = [GridAxis::new(LayerId(1), default_capacities())];
 
     println!("capacity sweep for `{}`:\n", app.name());
-    let s = sweep(
+    let s = try_sweep_grid_run(
         &app.program,
         &platform,
-        LayerId(1),
-        &caps,
+        &axes,
         &MhlaConfig::default(),
-    );
+        &SweepOptions::default(),
+    )
+    .expect("valid built-in application")
+    .sweep;
 
     let front_c = s.pareto_cycles();
     let front_e = s.pareto_energy();
@@ -32,7 +34,7 @@ fn main() {
     for (i, p) in s.points.iter().enumerate() {
         println!(
             "{:>10} {:>14} {:>14.2} {:>12} {:>8}",
-            p.capacity,
+            p.capacities[0],
             p.cycles(),
             p.energy_pj() / 1e6,
             if front_c.contains(&i) { "*" } else { "" },
@@ -43,7 +45,7 @@ fn main() {
     let best = s.best_cycles().expect("non-empty sweep");
     println!(
         "\nbest performance point: {} B scratchpad ({} cycles)",
-        best.capacity,
+        best.capacities[0],
         best.cycles()
     );
     println!("\nCSV (paste into a plotting tool):");

@@ -21,7 +21,7 @@
 
 #![cfg(feature = "alloc-counter")]
 
-use mhla::core::explore::{default_capacities, sweep_with, SweepOptions};
+use mhla::core::explore::{default_capacities, try_sweep_grid_run, GridAxis, SweepOptions};
 use mhla::core::MhlaConfig;
 use mhla::hierarchy::{LayerId, Platform};
 
@@ -37,7 +37,7 @@ const BUDGET_ALLOCS_PER_EVAL: f64 = 250.0;
 
 #[test]
 fn steady_state_sweep_allocations_stay_under_budget() {
-    let caps = default_capacities();
+    let axes = [GridAxis::new(LayerId(1), default_capacities())];
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
     // Sequential: every point runs on this thread, so the second pass
@@ -47,31 +47,18 @@ fn steady_state_sweep_allocations_stay_under_budget() {
         ..SweepOptions::default()
     };
     let apps = mhla_apps::all_apps();
+    let sweep = |app: &mhla_apps::Application| {
+        try_sweep_grid_run(&app.program, &platform, &axes, &config, &opts).expect("capacity sweep")
+    };
     for app in &apps {
-        sweep_with(
-            &app.program,
-            &platform,
-            LayerId(1),
-            &caps,
-            &config,
-            opts.clone(),
-        );
+        sweep(app);
     }
     let mut total_allocs = 0u64;
     let mut total_points = 0usize;
     for app in &apps {
-        let (s, allocs, _) = mhla_alloc_counter::allocations_during(|| {
-            sweep_with(
-                &app.program,
-                &platform,
-                LayerId(1),
-                &caps,
-                &config,
-                opts.clone(),
-            )
-        });
+        let (run, allocs, _) = mhla_alloc_counter::allocations_during(|| sweep(app));
         total_allocs += allocs;
-        total_points += s.points.len();
+        total_points += run.sweep.points.len();
     }
     assert!(
         mhla_alloc_counter::is_counting(),

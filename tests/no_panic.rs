@@ -38,9 +38,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mhla::core::explore::{
-    try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, try_sweep_grid_resume,
-    try_sweep_grid_run, try_sweep_with, ExploreBudget, GridAxis, GridSweep, PruneOptions,
-    SearchMode, StopCause, SweepOptions, SweepStatus,
+    try_sweep_grid_pruned_resume, try_sweep_grid_pruned_with, try_sweep_grid_refined_resume,
+    try_sweep_grid_refined_with, try_sweep_grid_resume, try_sweep_grid_run, ExploreBudget,
+    GridAxis, GridSweep, GridSweepRun, PruneOptions, RefineOptions, SearchMode, StopCause,
+    SweepOptions, SweepStatus,
 };
 use mhla::core::multitask::try_partition_scratchpad;
 use mhla::core::{Mhla, MhlaConfig, MhlaError};
@@ -102,12 +103,11 @@ proptest! {
         expect_invalid_program("Mhla::try_new", || {
             Mhla::try_new(&bad, &flat, config.clone())
         });
-        expect_invalid_program("try_sweep_with", || {
-            try_sweep_with(
+        expect_invalid_program("try_sweep_grid_run (one layer)", || {
+            try_sweep_grid_run(
                 &bad,
                 &flat,
-                LayerId(1),
-                &[256, 512],
+                &[GridAxis::new(LayerId(1), vec![256u64, 512])],
                 &config,
                 &SweepOptions::default(),
             )
@@ -482,6 +482,54 @@ proptest! {
         let full = try_sweep_grid_run(&program, &platform, &axes, &config, &opts).unwrap();
         prop_assert_eq!(&resumed.sweep, &full.sweep);
     }
+}
+
+/// Every resume entry point over zero axes answers like its fresh call —
+/// the empty complete run — even when the prior claims a stop, instead of
+/// handing a scheduler a grid with no axis to chunk.
+#[test]
+fn resumes_over_zero_axes_return_the_empty_complete_run() {
+    let program = mhla_apps::fir_bank::app().program;
+    let platform = Platform::three_level(1024, 256);
+    let config = MhlaConfig::default();
+    let stopped = SweepStatus::Stopped {
+        cause: StopCause::MaxEvals,
+        next_lex: 0,
+    };
+    let panic_free = "a zero-axes resume must not panic";
+
+    let opts = SweepOptions::default();
+    let fresh = try_sweep_grid_run(&program, &platform, &[], &config, &opts).unwrap();
+    assert!(fresh.status.is_complete() && fresh.sweep.points.is_empty());
+    let prior = GridSweepRun {
+        status: stopped,
+        ..fresh.clone()
+    };
+    let resumed = catch_unwind(AssertUnwindSafe(|| {
+        try_sweep_grid_resume(&program, &platform, &[], &config, &opts, &prior)
+    }))
+    .expect(panic_free);
+    assert_eq!(resumed.unwrap(), fresh, "exhaustive resume");
+
+    let opts = PruneOptions::default();
+    let fresh = try_sweep_grid_pruned_with(&program, &platform, &[], &config, &opts).unwrap();
+    let mut prior = fresh.clone();
+    prior.status = stopped;
+    let resumed = catch_unwind(AssertUnwindSafe(|| {
+        try_sweep_grid_pruned_resume(&program, &platform, &[], &config, &opts, &prior)
+    }))
+    .expect(panic_free);
+    assert_eq!(resumed.unwrap(), fresh, "pruned resume");
+
+    let opts = RefineOptions::default();
+    let fresh = try_sweep_grid_refined_with(&program, &platform, &[], &config, &opts).unwrap();
+    let mut prior = fresh.clone();
+    prior.status = stopped;
+    let resumed = catch_unwind(AssertUnwindSafe(|| {
+        try_sweep_grid_refined_resume(&program, &platform, &[], &config, &opts, &prior)
+    }))
+    .expect(panic_free);
+    assert_eq!(resumed.unwrap(), fresh, "refined resume");
 }
 
 // ---------------------------------------------------------------------------

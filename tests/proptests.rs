@@ -21,15 +21,16 @@
 //! step; locally the (deterministic, per-test-name) default seed applies.
 
 use mhla::core::explore::{
-    refine_axis, sweep_grid_pruned_with, sweep_grid_refined_with, sweep_grid_run, sweep_grid_with,
-    try_sweep_grid_refined_resume, ExploreBudget, GridAxis, PruneOptions, RefineOptions,
-    SearchMode, SweepOptions,
+    refine_axis, try_sweep_grid_pruned_with, try_sweep_grid_refined_resume,
+    try_sweep_grid_refined_with, try_sweep_grid_run, ExploreBudget, GridAxis, GridSweep,
+    PruneOptions, PrunedGridSweep, RefineOptions, RefinedGridSweep, SearchMode, SweepOptions,
 };
 use mhla::core::{
     pareto, report, Assignment, EvalWorkspace, ExplorationContext, Mhla, MhlaConfig, Objective,
 };
 use mhla::hierarchy::{LayerId, Platform};
 use mhla::ir::arbitrary::{program_specs, ProgramSpec};
+use mhla::ir::Program;
 use mhla_bench::grid_frontier_points;
 use proptest::prelude::*;
 
@@ -53,12 +54,52 @@ fn small_axes() -> Vec<GridAxis> {
     ]
 }
 
+/// The cold exhaustive reference grid.
+fn cold_grid(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+) -> GridSweep {
+    let cold = SweepOptions {
+        warm_start: false,
+        ..SweepOptions::default()
+    };
+    try_sweep_grid_run(program, platform, axes, config, &cold)
+        .expect("cold sweep")
+        .sweep
+}
+
+/// The pruned sweep, sequential or parallel.
+fn pruned(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    parallel: bool,
+) -> PrunedGridSweep {
+    let opts = PruneOptions::with_parallel(parallel);
+    try_sweep_grid_pruned_with(program, platform, axes, config, &opts).expect("pruned sweep")
+}
+
+/// The refinement under `opts`.
+fn refined(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: &RefineOptions,
+) -> RefinedGridSweep {
+    try_sweep_grid_refined_with(program, platform, axes, config, opts).expect("refinement")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Pruned ≡ exhaustive on random programs: evaluated points
     /// bit-identical, frontiers bit-identical, PruneStats identical
-    /// between the sequential and parallel wave modes.
+    /// between the sequential and parallel wave modes, and the
+    /// sequential mode never speculates.
     #[test]
     fn pruned_equals_exhaustive_on_random_programs(spec in program_specs()) {
         let program = spec.build();
@@ -66,27 +107,11 @@ proptest! {
         let axes = small_axes();
         for objective in OBJECTIVES {
             let config = MhlaConfig { objective, ..MhlaConfig::default() };
-            let full = sweep_grid_with(
-                &program,
-                &platform,
-                &axes,
-                &config,
-                SweepOptions { warm_start: false, ..SweepOptions::default() },
-            );
-            let sequential = sweep_grid_pruned_with(
-                &program,
-                &platform,
-                &axes,
-                &config,
-                PruneOptions { parallel: false, wave: 1, ..PruneOptions::default() },
-            );
-            let parallel = sweep_grid_pruned_with(
-                &program,
-                &platform,
-                &axes,
-                &config,
-                PruneOptions::default(),
-            );
+            let full = cold_grid(&program, &platform, &axes, &config);
+            let sequential = pruned(&program, &platform, &axes, &config, false);
+            let parallel = pruned(&program, &platform, &axes, &config, true);
+            prop_assert_eq!(sequential.speculative_evals, 0);
+            prop_assert_eq!(sequential.waves, sequential.stats.evaluated);
             prop_assert_eq!(
                 &sequential.stats, &parallel.stats,
                 "PruneStats diverge between modes under {:?}", objective
@@ -130,20 +155,10 @@ proptest! {
         let axes = small_axes();
         for objective in OBJECTIVES {
             let config = MhlaConfig { objective, ..MhlaConfig::default() };
-            let cold = sweep_grid_with(
-                &program,
-                &platform,
-                &axes,
-                &config,
-                SweepOptions { warm_start: false, ..SweepOptions::default() },
-            );
-            let run = sweep_grid_run(
-                &program,
-                &platform,
-                &axes,
-                &config,
-                SweepOptions { mode: SearchMode::Improving, ..SweepOptions::default() },
-            );
+            let cold = cold_grid(&program, &platform, &axes, &config);
+            let improving = SweepOptions { mode: SearchMode::Improving, ..SweepOptions::default() };
+            let run = try_sweep_grid_run(&program, &platform, &axes, &config, &improving)
+                .expect("improving sweep");
             prop_assert_eq!(run.sweep.points.len(), cold.points.len());
             let mut improved = 0usize;
             for (imp, base) in run.sweep.points.iter().zip(&cold.points) {
@@ -199,20 +214,9 @@ proptest! {
             .collect();
         for objective in OBJECTIVES {
             let config = MhlaConfig { objective, ..MhlaConfig::default() };
-            let full = sweep_grid_with(
-                &program,
-                &platform,
-                &fine_axes,
-                &config,
-                SweepOptions { warm_start: false, ..SweepOptions::default() },
-            );
-            let refined = sweep_grid_refined_with(
-                &program,
-                &platform,
-                &axes,
-                &config,
-                RefineOptions::default().depth(depth),
-            );
+            let full = cold_grid(&program, &platform, &fine_axes, &config);
+            let refined =
+                refined(&program, &platform, &axes, &config, &RefineOptions::default().depth(depth));
             prop_assert!(refined.status.is_complete());
             prop_assert_eq!(refined.stats.virtual_points, full.points.len() as u64);
             for rp in &refined.sweep.points {
@@ -245,16 +249,15 @@ proptest! {
         let axes = small_axes();
         let config = MhlaConfig::default();
         let base = RefineOptions::default().depth(2);
-        let uninterrupted =
-            sweep_grid_refined_with(&program, &platform, &axes, &config, base.clone());
+        let uninterrupted = refined(&program, &platform, &axes, &config, &base);
         prop_assert!(uninterrupted.status.is_complete());
         for max in [1usize, 5] {
-            let stopped = sweep_grid_refined_with(
+            let stopped = refined(
                 &program,
                 &platform,
                 &axes,
                 &config,
-                base.clone().budget(ExploreBudget::max_evals(max)),
+                &base.clone().budget(ExploreBudget::max_evals(max)),
             );
             let resumed = try_sweep_grid_refined_resume(
                 &program, &platform, &axes, &config, &base, &stopped,

@@ -16,7 +16,7 @@
 //!   floor), with per-point bookkeeping that adds up;
 //! * the parallel wave mode commits exactly the sequential decisions:
 //!   identical `PruneStats`, identical evaluated points, identical
-//!   frontiers for every wave size;
+//!   frontiers — and the sequential mode never speculates;
 //! * disarming conditions degrade to exhaustive, never to a wrong
 //!   frontier.
 //!
@@ -24,11 +24,12 @@
 //! CI leg); malformed values are rejected loudly.
 
 use mhla::core::explore::{
-    sweep_grid_pruned_with, sweep_grid_with, GridAxis, GridSweep, PruneOptions, PrunedGridSweep,
-    SweepOptions,
+    try_sweep_grid_pruned_with, try_sweep_grid_run, GridAxis, GridSweep, PruneOptions,
+    PrunedGridSweep, SweepOptions,
 };
 use mhla::core::{Mhla, MhlaConfig, Objective, SearchStrategy};
 use mhla::hierarchy::{LayerId, Platform};
+use mhla::ir::Program;
 use mhla_bench::{default_grid4_axes, grid_frontier_points};
 
 /// The execution mode under test: parallel waves by default, sequential
@@ -37,30 +38,43 @@ use mhla_bench::{default_grid4_axes, grid_frontier_points};
 /// malformed fails the suite instead of silently testing the wrong mode.
 fn prune_opts_from_env() -> PruneOptions {
     match mhla_bench::sweep_parallel_from_env() {
-        Ok(true) => PruneOptions::default(),
-        Ok(false) => PruneOptions {
-            parallel: false,
-            wave: 1,
-            ..PruneOptions::default()
-        },
+        Ok(parallel) => PruneOptions::with_parallel(parallel),
         Err(e) => panic!("{e}"),
     }
+}
+
+/// The pruned sweep under `opts`.
+fn pruned(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: &PruneOptions,
+) -> PrunedGridSweep {
+    try_sweep_grid_pruned_with(program, platform, axes, config, opts).expect("pruned sweep")
 }
 
 /// The exhaustive reference: every point of the Cartesian product, cold —
 /// the canonical semantics in which every grid point equals a standalone
 /// run.
+fn exhaustive_on(
+    program: &Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+) -> GridSweep {
+    let cold = SweepOptions {
+        warm_start: false,
+        ..SweepOptions::default()
+    };
+    try_sweep_grid_run(program, platform, axes, config, &cold)
+        .expect("exhaustive sweep")
+        .sweep
+}
+
+/// [`exhaustive_on`] the default four-level platform.
 fn exhaustive(app: &mhla_apps::Application, axes: &[GridAxis], config: &MhlaConfig) -> GridSweep {
-    sweep_grid_with(
-        &app.program,
-        &Platform::four_level_default(),
-        axes,
-        config,
-        SweepOptions {
-            warm_start: false,
-            ..SweepOptions::default()
-        },
-    )
+    exhaustive_on(&app.program, &Platform::four_level_default(), axes, config)
 }
 
 /// Asserts the full losslessness contract of one pruned run against its
@@ -108,12 +122,12 @@ fn suite_under(config: &MhlaConfig, opts: PruneOptions) -> (usize, usize) {
     let mut suite_skipped = 0usize;
     for app in mhla_apps::all_apps() {
         let full = exhaustive(&app, &axes, config);
-        let pruned = sweep_grid_pruned_with(
+        let pruned = pruned(
             &app.program,
             &Platform::four_level_default(),
             &axes,
             config,
-            opts.clone(),
+            &opts,
         );
         assert_lossless(app.name(), &full, &pruned);
         suite_candidates += pruned.stats.candidates;
@@ -174,9 +188,9 @@ fn pruned_weighted_objective_is_bit_identical() {
 #[test]
 fn parallel_and_sequential_wave_modes_are_identical() {
     // The frontier-wave restructure must not change a single decision:
-    // sequential (wave = 1), small waves and the default parallel mode
-    // yield identical PruneStats, identical evaluated points and
-    // identical frontiers under every objective.
+    // the sequential mode (one-point waves) and the parallel mode yield
+    // identical PruneStats, identical evaluated points and identical
+    // frontiers under every objective.
     let axes = default_grid4_axes();
     let apps = [
         mhla_apps::fir_bank::app(),
@@ -196,56 +210,45 @@ fn parallel_and_sequential_wave_modes_are_identical() {
             ..MhlaConfig::default()
         };
         for app in &apps {
-            let sequential = sweep_grid_pruned_with(
+            let platform = Platform::four_level_default();
+            let sequential = pruned(
                 &app.program,
-                &Platform::four_level_default(),
+                &platform,
                 &axes,
                 &config,
-                PruneOptions {
-                    parallel: false,
-                    wave: 1,
-                    ..PruneOptions::default()
-                },
+                &PruneOptions::with_parallel(false),
             );
             assert_eq!(
                 sequential.speculative_evals,
                 0,
-                "{}: wave=1 cannot speculate",
+                "{}: one-point waves cannot speculate",
                 app.name()
             );
-            for opts in [
-                PruneOptions::default(),
-                PruneOptions {
-                    parallel: true,
-                    wave: 4,
-                    ..PruneOptions::default()
-                },
-                PruneOptions {
-                    parallel: false,
-                    wave: 16,
-                    ..PruneOptions::default()
-                },
-            ] {
-                let other = sweep_grid_pruned_with(
-                    &app.program,
-                    &Platform::four_level_default(),
-                    &axes,
-                    &config,
-                    opts.clone(),
-                );
-                assert_eq!(
-                    sequential.stats,
-                    other.stats,
-                    "{} ({objective:?}, {opts:?}): PruneStats diverge",
-                    app.name()
-                );
-                assert_eq!(
-                    sequential.sweep,
-                    other.sweep,
-                    "{} ({objective:?}, {opts:?}): evaluated points diverge",
-                    app.name()
-                );
-            }
+            assert_eq!(
+                sequential.waves,
+                sequential.stats.evaluated,
+                "{}: a sequential run has one wave per evaluated point",
+                app.name()
+            );
+            let parallel = pruned(
+                &app.program,
+                &platform,
+                &axes,
+                &config,
+                &PruneOptions::with_parallel(true),
+            );
+            assert_eq!(
+                sequential.stats,
+                parallel.stats,
+                "{} ({objective:?}): PruneStats diverge",
+                app.name()
+            );
+            assert_eq!(
+                sequential.sweep,
+                parallel.sweep,
+                "{} ({objective:?}): evaluated points diverge",
+                app.name()
+            );
         }
     }
 }
@@ -257,12 +260,12 @@ fn pruned_points_match_cold_standalone_runs() {
     let app = mhla_apps::sobel_edge::app();
     let platform = Platform::four_level_default();
     let config = MhlaConfig::default();
-    let pruned = sweep_grid_pruned_with(
+    let pruned = pruned(
         &app.program,
         &platform,
         &default_grid4_axes(),
         &config,
-        prune_opts_from_env(),
+        &prune_opts_from_env(),
     );
     assert!(
         pruned.stats.skipped() > 0,
@@ -295,12 +298,12 @@ fn energy_saturation_arms_inside_the_clamp_region() {
     let saturated: usize = mhla_apps::all_apps()
         .iter()
         .map(|app| {
-            sweep_grid_pruned_with(
+            pruned(
                 &app.program,
                 &Platform::four_level_default(),
                 &axes,
                 &config,
-                prune_opts_from_env(),
+                &prune_opts_from_env(),
             )
             .stats
             .skipped_saturated
@@ -329,12 +332,12 @@ fn non_instrumented_strategies_disarm_saturation_but_stay_lossless() {
         GridAxis::new(LayerId(3), vec![512u64, 1024]),
     ];
     let full = exhaustive(&app, &axes, &config);
-    let pruned = sweep_grid_pruned_with(
+    let pruned = pruned(
         &app.program,
         &Platform::four_level_default(),
         &axes,
         &config,
-        prune_opts_from_env(),
+        &prune_opts_from_env(),
     );
     assert_eq!(pruned.stats.skipped_saturated, 0, "saturation must disarm");
     assert_lossless(app.name(), &full, &pruned);
@@ -379,7 +382,7 @@ fn cost_floor_rule_fires_on_transfer_free_programs() {
         strategy: SearchStrategy::Exhaustive { node_limit: 50_000 },
         ..MhlaConfig::default()
     };
-    let pruned = sweep_grid_pruned_with(&program, &platform, &axes, &config, prune_opts_from_env());
+    let pruned = pruned(&program, &platform, &axes, &config, &prune_opts_from_env());
     assert_eq!(pruned.stats.skipped_saturated, 0, "saturation is disarmed");
     assert!(
         pruned.stats.skipped_floor > 0,
@@ -388,16 +391,7 @@ fn cost_floor_rule_fires_on_transfer_free_programs() {
     );
 
     // Lossless regardless: the frontier matches the exhaustive grid.
-    let full = sweep_grid_with(
-        &program,
-        &platform,
-        &axes,
-        &config,
-        SweepOptions {
-            warm_start: false,
-            ..SweepOptions::default()
-        },
-    );
+    let full = exhaustive_on(&program, &platform, &axes, &config);
     assert_lossless("tmp_scan", &full, &pruned);
 }
 
@@ -406,12 +400,17 @@ fn degenerate_axes_yield_empty_pruned_sweeps() {
     let app = mhla_apps::fir_bank::app();
     let platform = Platform::four_level_default();
     let config = MhlaConfig::default();
-    let empty =
-        sweep_grid_pruned_with(&app.program, &platform, &[], &config, prune_opts_from_env());
+    let empty = pruned(
+        &app.program,
+        &platform,
+        &[],
+        &config,
+        &prune_opts_from_env(),
+    );
     assert!(empty.sweep.points.is_empty());
     assert_eq!(empty.stats.candidates, 0);
     assert_eq!(empty.waves, 0);
-    let empty_axis = sweep_grid_pruned_with(
+    let empty_axis = pruned(
         &app.program,
         &platform,
         &[
@@ -419,7 +418,7 @@ fn degenerate_axes_yield_empty_pruned_sweeps() {
             GridAxis::new(LayerId(2), Vec::new()),
         ],
         &config,
-        prune_opts_from_env(),
+        &prune_opts_from_env(),
     );
     assert!(empty_axis.sweep.points.is_empty());
 }

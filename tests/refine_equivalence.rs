@@ -16,7 +16,7 @@
 //! leg); malformed values are rejected loudly.
 
 use mhla::core::explore::{
-    refine_axis, sweep_grid_refined_with, sweep_grid_with, try_sweep_grid_refined_resume,
+    refine_axis, try_sweep_grid_refined_resume, try_sweep_grid_refined_with, try_sweep_grid_run,
     ExploreBudget, GridAxis, GridSweep, RefineOptions, RefinedGridSweep, SweepOptions,
 };
 use mhla::core::{MhlaConfig, Objective};
@@ -66,16 +66,24 @@ fn exhaustive_fine(
         .iter()
         .map(|a| GridAxis::new(a.layer, refine_axis(&a.capacities, depth)))
         .collect();
-    sweep_grid_with(
-        program,
-        platform,
-        &fine_axes,
-        config,
-        SweepOptions {
-            warm_start: false,
-            ..SweepOptions::default()
-        },
-    )
+    let cold = SweepOptions {
+        warm_start: false,
+        ..SweepOptions::default()
+    };
+    try_sweep_grid_run(program, platform, &fine_axes, config, &cold)
+        .expect("exhaustive fine sweep")
+        .sweep
+}
+
+/// The refinement under `opts`.
+fn refined(
+    program: &mhla::ir::Program,
+    platform: &Platform,
+    axes: &[GridAxis],
+    config: &MhlaConfig,
+    opts: &RefineOptions,
+) -> RefinedGridSweep {
+    try_sweep_grid_refined_with(program, platform, axes, config, opts).expect("refinement")
 }
 
 /// Asserts the exactness contract of one refined run against the
@@ -123,12 +131,12 @@ fn refined_lattice_exceeds_1e5_points_with_under_5_percent_evals_on_all_nine_app
     let axes = default_grid4_axes();
     let opts = refine_opts_from_env();
     for app in mhla_apps::all_apps() {
-        let refined = sweep_grid_refined_with(
+        let refined = refined(
             &app.program,
             &Platform::four_level_default(),
             &axes,
             &MhlaConfig::default(),
-            opts.clone(),
+            &opts,
         );
         assert!(refined.status.is_complete(), "{}", app.name());
         assert!(
@@ -172,12 +180,12 @@ fn refined_small_instance_is_bit_identical_to_the_exhaustive_fine_lattice() {
                 objective,
                 ..MhlaConfig::default()
             };
-            let refined = sweep_grid_refined_with(
+            let refined = refined(
                 &app.program,
                 &pf,
                 &axes,
                 &config,
-                refine_opts_from_env().depth(depth),
+                &refine_opts_from_env().depth(depth),
             );
             let full = exhaustive_fine(&app.program, &pf, &axes, depth, &config);
             assert_exact(app.name(), &full, &refined);
@@ -192,15 +200,15 @@ fn refined_budget_interrupt_and_resume_is_bit_identical() {
     let app = mhla_apps::fir_bank::app();
     let config = MhlaConfig::default();
     let base = refine_opts_from_env().depth(2);
-    let uninterrupted = sweep_grid_refined_with(&app.program, &pf, &axes, &config, base.clone());
+    let uninterrupted = refined(&app.program, &pf, &axes, &config, &base);
     assert!(uninterrupted.status.is_complete());
     for max in [1usize, 4, 9, 20] {
-        let stopped = sweep_grid_refined_with(
+        let stopped = refined(
             &app.program,
             &pf,
             &axes,
             &config,
-            base.clone().budget(ExploreBudget::max_evals(max)),
+            &base.clone().budget(ExploreBudget::max_evals(max)),
         );
         let resumed =
             try_sweep_grid_refined_resume(&app.program, &pf, &axes, &config, &base, &stopped)

@@ -3,9 +3,36 @@
 //! stronger, identical (cycles, energy) at every capacity point — on the
 //! full application suite.
 
-use mhla::core::explore::{default_capacities, sweep, sweep_cold, sweep_with, SweepOptions};
+use mhla::core::explore::{
+    default_capacities, sweep_cold, try_sweep_grid_run, GridAxis, GridSweep, SweepOptions,
+};
 use mhla::core::{EvalWorkspace, ExplorationContext, Mhla, MhlaConfig};
 use mhla::hierarchy::{LayerId, Platform};
+use mhla::ir::Program;
+
+/// The production 1-axis sweep of layer 1 under `opts`.
+fn one_layer_with(
+    program: &Program,
+    platform: &Platform,
+    caps: &[u64],
+    config: &MhlaConfig,
+    opts: &SweepOptions,
+) -> GridSweep {
+    let axes = [GridAxis::new(LayerId(1), caps)];
+    try_sweep_grid_run(program, platform, &axes, config, opts)
+        .expect("capacity sweep")
+        .sweep
+}
+
+/// [`one_layer_with`] under the default options.
+fn one_layer(
+    program: &Program,
+    platform: &Platform,
+    caps: &[u64],
+    config: &MhlaConfig,
+) -> GridSweep {
+    one_layer_with(program, platform, caps, config, &SweepOptions::default())
+}
 
 #[test]
 fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
@@ -14,7 +41,7 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
     let config = MhlaConfig::default();
     for app in mhla_apps::all_apps() {
         let cold = sweep_cold(&app.program, &platform, LayerId(1), &caps, &config);
-        let fast = sweep(&app.program, &platform, LayerId(1), &caps, &config);
+        let fast = one_layer(&app.program, &platform, &caps, &config);
 
         assert_eq!(
             cold.pareto_cycles(),
@@ -30,20 +57,20 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
         );
         assert_eq!(cold.points.len(), fast.points.len(), "{}", app.name());
         for (c, f) in cold.points.iter().zip(&fast.points) {
-            assert_eq!(c.capacity, f.capacity, "{}", app.name());
+            assert_eq!(c.capacities, f.capacities, "{}", app.name());
             assert_eq!(
                 c.cycles(),
                 f.cycles(),
-                "{} at {} B: cycles diverge",
+                "{} at {:?} B: cycles diverge",
                 app.name(),
-                c.capacity
+                c.capacities
             );
             assert_eq!(
                 c.energy_pj(),
                 f.energy_pj(),
-                "{} at {} B: energy diverges",
+                "{} at {:?} B: energy diverges",
                 app.name(),
-                c.capacity
+                c.capacities
             );
         }
     }
@@ -51,35 +78,25 @@ fn warm_parallel_sweep_matches_cold_sequential_on_all_apps() {
 
 #[test]
 fn sweep_options_do_not_change_results() {
-    // Every combination of warm-start / parallel / chunking produces the
-    // same points (determinism does not depend on the core count).
+    // Every combination of warm-start / parallel produces the same
+    // points (determinism does not depend on the core count).
     let caps = default_capacities();
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
     let app = mhla_apps::video_encoder::app();
-    let reference = sweep(&app.program, &platform, LayerId(1), &caps, &config);
+    let reference = one_layer(&app.program, &platform, &caps, &config);
     for warm_start in [false, true] {
         for parallel in [false, true] {
-            for chunk in [1usize, 3, 64] {
-                let opts = SweepOptions {
-                    warm_start,
-                    parallel,
-                    chunk,
-                    ..SweepOptions::default()
-                };
-                let s = sweep_with(
-                    &app.program,
-                    &platform,
-                    LayerId(1),
-                    &caps,
-                    &config,
-                    opts.clone(),
-                );
-                assert_eq!(s.points.len(), reference.points.len());
-                for (a, b) in s.points.iter().zip(&reference.points) {
-                    assert_eq!(a.cycles(), b.cycles(), "{opts:?}");
-                    assert_eq!(a.energy_pj(), b.energy_pj(), "{opts:?}");
-                }
+            let opts = SweepOptions {
+                warm_start,
+                parallel,
+                ..SweepOptions::default()
+            };
+            let s = one_layer_with(&app.program, &platform, &caps, &config, &opts);
+            assert_eq!(s.points.len(), reference.points.len());
+            for (a, b) in s.points.iter().zip(&reference.points) {
+                assert_eq!(a.cycles(), b.cycles(), "{opts:?}");
+                assert_eq!(a.energy_pj(), b.energy_pj(), "{opts:?}");
             }
         }
     }
@@ -125,15 +142,9 @@ fn sweep_handles_degenerate_capacity_lists() {
     let platform = Platform::embedded_default(1024);
     let config = MhlaConfig::default();
     let app = mhla_apps::sobel_edge::app();
-    let empty = sweep(&app.program, &platform, LayerId(1), &[], &config);
+    let empty = one_layer(&app.program, &platform, &[], &config);
     assert!(empty.points.is_empty());
-    let dup = sweep(
-        &app.program,
-        &platform,
-        LayerId(1),
-        &[256, 256, 512],
-        &config,
-    );
+    let dup = one_layer(&app.program, &platform, &[256, 256, 512], &config);
     assert_eq!(dup.points.len(), 2);
-    assert!(dup.points[0].capacity < dup.points[1].capacity);
+    assert!(dup.points[0].capacities < dup.points[1].capacities);
 }
