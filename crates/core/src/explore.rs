@@ -30,10 +30,11 @@
 //!   decisions commit in lexicographic order; `tests/prune_equivalence.rs`
 //!   verifies the pruned frontier bit-for-bit against the exhaustive one.
 //! * **Refined** — [`try_sweep_grid_refined_with`], resumed by
-//!   [`try_sweep_grid_refined_resume`]: the coarse grid is evaluated and
-//!   only the capacity cells that can still change the front are
-//!   subdivided, certifying the frontier of a virtual fine lattice
-//!   ([`refine_axis`]) at a fraction of its evaluations.
+//!   [`try_sweep_grid_refined_resume`]: its coarse pass *is* the pruned
+//!   sweep of the coarse grid (same points, same results), then only the
+//!   capacity cells that can still change the front are subdivided,
+//!   certifying the frontier of a virtual fine lattice ([`refine_axis`])
+//!   at a fraction of its evaluations.
 //!
 //! [`sweep_cold`] keeps the frozen pre-optimization reference: a 1-axis
 //! sweep, strictly sequential, every point re-analyzed and searched from
@@ -44,10 +45,13 @@
 //!
 //! All three strategies share one prologue (validation, axis cleaning,
 //! the empty-grid shortcut, the context build) and one engine (internal
-//! `SweepEngine`: point order, per-point evaluation, result assembly);
-//! they differ only in their *scheduler* (warm-started chunks, prune
-//! waves, or refinement waves). The engine is parameterized by a
-//! [`SearchMode`]:
+//! `SweepEngine`: point order, per-point evaluation, result assembly).
+//! There are three *schedulers*: warm-started chunks (cold exhaustive),
+//! a strictly sequential lexicographic loop (improving exhaustive), and
+//! dominance waves — one wave scheduler, one committed state and one
+//! pair of skip rules serve the pruned sweep and every pass of the
+//! refinement, whose coarse pass is therefore exactly the pruned sweep.
+//! The engine is parameterized by a [`SearchMode`]:
 //!
 //! * [`SearchMode::Cold`] — the frozen default semantics: every point's
 //!   result is bit-identical to a standalone [`Mhla::run`].
@@ -156,15 +160,17 @@ impl SweepStatus {
 }
 
 /// A work bound for the sweep schedulers, threaded through
-/// [`SweepOptions::budget`] / [`PruneOptions::budget`]. All three limits
-/// are optional and combine; the default is unlimited.
+/// [`SweepOptions::budget`], [`PruneOptions::budget`] and
+/// [`RefineOptions::budget`]. All three limits are optional and combine;
+/// the default is unlimited.
 ///
 /// On exhaustion the sweep does **not** error: it stops at a
 /// fully-committed lexicographic prefix and returns its result with
 /// [`SweepStatus::Stopped`] — a certified partial frontier plus the
 /// resume cursor. Callers that need an all-or-nothing answer use
 /// [`GridSweepRun::require_complete`] /
-/// [`PrunedGridSweep::require_complete`] to turn a stop into a typed
+/// [`PrunedGridSweep::require_complete`] /
+/// [`RefinedGridSweep::require_complete`] to turn a stop into a typed
 /// [`MhlaError`].
 #[derive(Clone, Debug, Default)]
 pub struct ExploreBudget {
@@ -886,10 +892,10 @@ pub fn try_sweep_grid_resume(
 /// Cartesian point order, per-point platform construction and search
 /// evaluation, and result assembly — used by all three strategies
 /// ([`try_sweep_grid_run`] through the chunked or lexicographic
-/// scheduler, [`try_sweep_grid_pruned_with`] through the prune-wave
-/// scheduler, [`try_sweep_grid_refined_with`] through the refinement
-/// waves). The schedulers differ in *when* points run and what seeds
-/// they see; everything a point *is* lives here.
+/// scheduler, [`try_sweep_grid_pruned_with`] and
+/// [`try_sweep_grid_refined_with`] through the wave scheduler). The
+/// schedulers differ in *when* points run and what seeds they see;
+/// everything a point *is* lives here.
 struct SweepEngine<'e> {
     ctx: &'e ExplorationContext<'e>,
     platform: &'e Platform,
@@ -1059,7 +1065,7 @@ impl<'e> SweepEngine<'e> {
 
     /// One point's search with an optional single warm seed — the cold
     /// schedulers' evaluation (the chunked chain passes its predecessor,
-    /// the prune waves pass `None`). Runs on the thread's
+    /// the dominance waves pass `None`). Runs on the thread's
     /// [`EngineScratch`]: in-place platform resize, reused workspace.
     fn evaluate(&self, caps: &[u64], warm: Option<&Assignment>) -> (MhlaResult, RunStats) {
         ENGINE_SCRATCH.with(|cell| {
@@ -1457,7 +1463,7 @@ pub struct PrunedGridSweep {
     /// Resume state of a stopped run (empty when
     /// [`status`](Self::status) is [`SweepStatus::Complete`], so
     /// resumed-to-complete runs compare equal to uninterrupted ones).
-    checkpoint: PruneCheckpoint,
+    checkpoint: Checkpoint,
 }
 
 impl PrunedGridSweep {
@@ -1487,7 +1493,7 @@ impl Explored for PrunedGridSweep {
             search_legs: 0,
             seed_wins: 0,
             status: SweepStatus::Complete,
-            checkpoint: PruneCheckpoint::default(),
+            checkpoint: Checkpoint::default(),
         }
     }
 
@@ -1496,12 +1502,26 @@ impl Explored for PrunedGridSweep {
     }
 }
 
-/// What a stopped pruned sweep carries to resume exactly: the rule-1
-/// replay candidates of its committed evaluations (everything else —
-/// incumbents, seeds, floors — is rebuilt from the points).
+/// What a stopped pruned or refined run carries to resume exactly: each
+/// committed point's [`RunStats`], aligned with `sweep.points` (the
+/// saturation rule needs the constraint masks and rejection floors;
+/// incumbents, seeds and floors are rebuilt from the points). Empty when
+/// the run completed, so resumed-to-complete runs compare equal to
+/// uninterrupted ones.
 #[derive(Clone, PartialEq, Debug, Default)]
-struct PruneCheckpoint {
-    replayable: Vec<Replayable>,
+struct Checkpoint {
+    run_stats: Vec<RunStats>,
+}
+
+impl Checkpoint {
+    /// The checkpoint a run with `status` keeps: `run_stats` on a stop,
+    /// nothing on completion.
+    fn kept(status: SweepStatus, run_stats: Vec<RunStats>) -> Self {
+        match status {
+            SweepStatus::Complete => Checkpoint::default(),
+            SweepStatus::Stopped { .. } => Checkpoint { run_stats },
+        }
+    }
 }
 
 /// Maximum points one dominance wave of a parallel
@@ -1636,52 +1656,6 @@ fn floor_dominated(
     }
 }
 
-/// Rule-1 dominator candidates: evaluated points with at least one
-/// *growable* axis (per-axis, precomputed from the run's constrained-layer
-/// mask) plus the run's recorded gain-bound data. Points whose run was
-/// bound on every axis can never justify a skip and never enter this
-/// list, which keeps the per-candidate scan short — on fully
-/// capacity-bound apps it is empty. (Both scans are still linear in their
-/// list; a spatial index over the capacity lattice would be the next step
-/// for 10⁵+ grids.)
-#[derive(Clone, PartialEq, Debug)]
-struct Replayable {
-    capacities: Vec<u64>,
-    growable: Vec<bool>,
-    stats: RunStats,
-}
-
-impl Replayable {
-    /// Whether this evaluated run provably replays (and therefore
-    /// dominates on both surfaces) at the grown point `caps`: capacity
-    /// dominance, growth confined to never-binding axes inside one
-    /// scratchpad latency class, and the per-layer write-energy deltas
-    /// within the run's recorded gain-bound budget
-    /// ([`RunStats::allows_energy_growth`]).
-    fn replays_at(&self, caps: &[u64], layers: &[LayerId], energy_weight: f64) -> bool {
-        if !caps_dominate(&self.capacities, caps) {
-            return false;
-        }
-        for ((&qc, &pc), &growable) in self.capacities.iter().zip(caps).zip(&self.growable) {
-            if qc == pc {
-                continue;
-            }
-            if !growable || sram_access_cycles(qc) != sram_access_cycles(pc) {
-                return false;
-            }
-        }
-        self.stats.allows_energy_growth(
-            self.capacities
-                .iter()
-                .zip(caps)
-                .enumerate()
-                .filter(|(_, (qc, pc))| qc != pc)
-                .map(|(axis, (&qc, &pc))| (layers[axis], scratchpad_energy_delta_pj(qc, pc))),
-            energy_weight,
-        )
-    }
-}
-
 /// Why a candidate point was skipped without evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum SkipRule {
@@ -1724,12 +1698,16 @@ impl PruneStats {
 ///    margin* per energy-sensitive operation
 ///    ([`RunStats::gain_margin_rates`](crate::RunStats::gain_margin_rates)),
 ///    an instrumented gain bound derived from the cost model's cached
-///    access and transfer-volume totals. If point `p` differs from an
-///    evaluated point `q ≤ p` only on layers that never bound `q`'s run,
-///    each staying inside its latency class, and the summed per-layer
-///    energy deltas (times the objective's energy weight) stay strictly
-///    below `q`'s margin, the run at `p` replays `q`'s decision for
-///    decision — failed probes still fail, successful ones still
+///    access and transfer-volume totals — and, per layer, its *rejection
+///    floor*: the smallest byte requirement any of its failed capacity
+///    checks had there ([`RunStats::allows_growth_to`]). If point `p`
+///    differs from an evaluated point `q ≤ p` only on layers that either
+///    never bound `q`'s run or grow to a capacity still below their
+///    rejection floor, each staying inside its latency class, and the
+///    summed per-layer energy deltas (times the objective's energy
+///    weight) stay strictly below `q`'s margin, the run at `p` replays
+///    `q`'s decision for decision — failed probes still fail (they
+///    needed more bytes than `p` offers), successful ones still
 ///    succeed, no gain comparison can flip — yielding the same
 ///    assignment and TE schedule, hence *equal cycles* and, because
 ///    per-access energies are monotone in capacity, *no lower energy*.
@@ -1755,7 +1733,9 @@ impl PruneStats {
 ///
 /// # Frontier waves
 ///
-/// The loop runs in *dominance waves* ([`PruneOptions`]): each wave
+/// The loop runs in *dominance waves* ([`PruneOptions`]) — the one
+/// scheduler the pruned sweep shares with the refinement, whose coarse
+/// pass this sweep is exactly: each wave
 /// collects, in lexicographic order, a run of consecutive points that are
 /// not skippable given the committed evaluations (stopping at the wave
 /// cap — [`PRUNE_WAVE`] when [`PruneOptions::parallel`] is set, one
@@ -1862,16 +1842,196 @@ pub fn try_sweep_grid_pruned_resume(
     )
 }
 
+/// Where the wave scheduler's improving-mode seeds come from: the
+/// committed grid neighbors (the pruned sweep and the refinement's coarse
+/// pass, which behave like the improving grid sweep) or the generating
+/// parent cell's committed corner assignments (refined corners).
+enum SeedSource<'m> {
+    Grid,
+    Corners(&'m BTreeMap<Vec<u64>, Vec<Vec<u64>>>),
+}
+
+/// The committed state of one pruned or refined run, threaded through
+/// the wave scheduler ([`SweepEngine::run_waves`]), plus the run's fixed
+/// certificate rules. `points` and `run_stats` stay aligned index for
+/// index, in commit order.
+struct SweepState {
+    /// [`SearchMode::Improving`] is selected.
+    improving: bool,
+    /// Points per dominance wave: [`PRUNE_WAVE`] for a parallel cold
+    /// run, one otherwise (an improving member's seeds are the commits
+    /// before it, and without a fan-out a wider wave would only add
+    /// discarded speculative evaluations).
+    wave_cap: usize,
+    /// The saturation rule can arm: it needs the instrumented greedy
+    /// search, the only strategy recording constraint masks, rejection
+    /// floors and decision margins. The objective does not disarm it:
+    /// its energy weight scales the gain-bound test, which is vacuous for
+    /// cycles (weight 0) and margin-guarded otherwise.
+    saturation_armed: bool,
+    /// The configured objective.
+    objective: Objective,
+    /// The memoized cost floors of the run's points: a point's floor
+    /// depends only on its capacities, but its skip rules can run several
+    /// times (wave re-examinations, the commit re-check), and refinement
+    /// cells share corners.
+    floor_cache: FloorCache,
+    /// Committed results of a resumed prior refinement, replayed for
+    /// free.
+    prior: HashMap<Vec<u64>, (MhlaResult, RunStats)>,
+    /// Improving-mode committed assignments.
+    seeds: SeedCache,
+    /// Improving-mode lex-predecessor pointer (grid seeds only).
+    last_committed: Option<Vec<u64>>,
+    /// Cost-floor incumbents.
+    evaluated: Vec<Evaluated>,
+    /// Saturation candidates: committed cold-kept tracked runs (their
+    /// constraint masks and rejection floors).
+    masks: Vec<(Vec<u64>, RunStats)>,
+    points: Vec<GridPoint>,
+    run_stats: Vec<RunStats>,
+    /// Committed or certified capacity vectors. Certification only
+    /// depends on committed state, which only grows, so every decision is
+    /// final and the refinement never queues these points again.
+    decided: HashSet<Vec<u64>>,
+    /// Points certified without a search, per rule.
+    skips: PruneStats,
+    /// Fresh searches committed this call — what the budget counts.
+    fresh: usize,
+    seed_wins: usize,
+    /// Greedy search legs of the committed fresh searches.
+    search_legs: usize,
+    /// Dominance waves and their discarded speculative members.
+    waves: usize,
+    speculative_evals: usize,
+    speculative_legs: usize,
+}
+
+impl SweepState {
+    /// Commits one point: certificate candidates, improving seeds,
+    /// incumbents and the result itself.
+    fn commit(&mut self, caps: &[u64], result: MhlaResult, run: RunStats) {
+        if self.saturation_armed && run.tracked && run.cold_result_kept {
+            self.masks.push((caps.to_vec(), run.clone()));
+        }
+        if self.improving {
+            self.seeds.commit(caps, result.assignment.clone());
+            self.last_committed = Some(caps.to_vec());
+        }
+        self.evaluated.push(Evaluated {
+            capacities: caps.to_vec(),
+            cycles: result.mhla_te_cycles(),
+            energy_pj: result.mhla_energy_pj(),
+            score: self.objective.score(&result.assignment_cost),
+        });
+        self.decided.insert(caps.to_vec());
+        self.run_stats.push(run);
+        self.points.push(GridPoint {
+            capacities: caps.to_vec(),
+            result,
+        });
+    }
+
+    /// Commits the resumed prior run's result at `caps` — free, like
+    /// every replay.
+    fn replay(&mut self, caps: &[u64]) {
+        if let Some((result, run)) = self.prior.get(caps).cloned() {
+            self.commit(caps, result, run);
+        }
+    }
+
+    /// Commits a freshly searched point (counted against the budget and
+    /// in the leg/seed-win bookkeeping).
+    fn commit_fresh(&mut self, caps: &[u64], result: MhlaResult, run: RunStats) {
+        self.fresh += 1;
+        self.search_legs += run.search_legs;
+        self.seed_wins += usize::from(run.winning_seed.is_some());
+        self.commit(caps, result, run);
+    }
+
+    /// Records `caps` as certified by `rule` — decided without a search.
+    fn skip(&mut self, caps: &[u64], rule: SkipRule) {
+        self.skips.record(rule);
+        self.decided.insert(caps.to_vec());
+    }
+}
+
+/// The growth half of the saturation rule: whether the committed
+/// (tracked, cold-kept) run at `qcaps` provably replays when every axis
+/// grows to `to` — each changed axis growable
+/// ([`RunStats::allows_growth_to`], which extends the constraint masks
+/// with the recorded per-layer rejection floors) inside one scratchpad
+/// latency class, and the summed write-energy deltas within the run's
+/// gain margins. All three conditions are monotone in the target
+/// capacities, so a pass at `to` extends to every point between `qcaps`
+/// and `to` (what the refinement's cell certificate builds on).
+fn replay_grows_to(
+    qcaps: &[u64],
+    run: &RunStats,
+    to: &[u64],
+    layers: &[LayerId],
+    energy_weight: f64,
+) -> bool {
+    qcaps.iter().zip(to).enumerate().all(|(a, (&q, &t))| {
+        q == t
+            || (run.allows_growth_to(layers[a], t)
+                && sram_access_cycles(q) == sram_access_cycles(t))
+    }) && run.allows_energy_growth(
+        qcaps
+            .iter()
+            .zip(to)
+            .enumerate()
+            .filter(|(_, (q, t))| q != t)
+            .map(|(a, (&q, &t))| (layers[a], scratchpad_energy_delta_pj(q, t))),
+        energy_weight,
+    )
+}
+
 impl<'e> SweepEngine<'e> {
-    /// The prune-wave scheduler (the body of
-    /// [`try_sweep_grid_pruned_with`]): dominance waves over the
-    /// lexicographic order, with skip decisions committed sequentially
-    /// and the prune hooks dispatched on the [`SearchMode`].
+    /// An empty committed state for a run in `mode` on this engine.
+    fn sweep_state(&self, mode: SearchMode, parallel: bool) -> SweepState {
+        let config = self.ctx.config();
+        let improving = mode == SearchMode::Improving;
+        SweepState {
+            improving,
+            wave_cap: if improving || !parallel {
+                1
+            } else {
+                PRUNE_WAVE
+            },
+            saturation_armed: config.strategy == SearchStrategy::Greedy,
+            objective: config.objective,
+            // The probe pre-folds every capacity-invariant input (access
+            // totals, CPU overhead, fixed-layer minima), so a memo miss is
+            // a handful of arithmetic ops — no resized platform, no cost
+            // model — and bit-identical to the model's floor on the
+            // resized platform ([`FloorProbe`](crate::cost::FloorProbe)).
+            floor_cache: FloorCache::new(self.ctx.floor_probe(self.platform, self.layers)),
+            prior: HashMap::new(),
+            seeds: SeedCache::new(),
+            last_committed: None,
+            evaluated: Vec::new(),
+            masks: Vec::new(),
+            points: Vec::new(),
+            run_stats: Vec::new(),
+            decided: HashSet::new(),
+            skips: PruneStats::default(),
+            fresh: 0,
+            seed_wins: 0,
+            search_legs: 0,
+            waves: 0,
+            speculative_evals: 0,
+            speculative_legs: 0,
+        }
+    }
+
+    /// The pruned strategy (the body of [`try_sweep_grid_pruned_with`]):
+    /// one pass of the wave scheduler over the lexicographic order.
     ///
     /// With a stopped `prior` run (a continuation), the prior is checked
-    /// against this grid, the committed state — incumbents, replay
-    /// candidates, improving seeds, the cursor and the skip bookkeeping —
-    /// is rebuilt, and the scan restarts at the recorded cursor; the
+    /// against this grid, its points and checkpoint are committed again
+    /// (incumbents, saturation candidates, improving seeds), its counters
+    /// carried forward, and the pass restarts at the recorded cursor; the
     /// merged result is returned. The budget bounds the *continuation's*
     /// committed evaluations.
     fn run_pruned(
@@ -1879,254 +2039,205 @@ impl<'e> SweepEngine<'e> {
         opts: &PruneOptions,
         prior: Option<&PrunedGridSweep>,
     ) -> Result<PrunedGridSweep, MhlaError> {
-        let config = self.ctx.config();
         let order = &self.order;
-        let layers = self.layers;
-        let budget = &opts.budget;
         let start = prior.and_then(|p| p.status.next_lex()).unwrap_or(0);
+        let mut st = self.sweep_state(opts.mode, opts.parallel);
         if let Some(prior) = prior {
             self.check_resume_prefix(&prior.sweep, start)?;
             if prior.stats.candidates != order.len()
                 || prior.stats.evaluated != prior.sweep.points.len()
+                || prior.checkpoint.run_stats.len() != prior.sweep.points.len()
             {
                 return Err(MhlaError::InvalidOptions {
                     what: "resume: the prior run's bookkeeping does not match this grid".into(),
                 });
             }
+            for (p, run) in prior.sweep.points.iter().zip(&prior.checkpoint.run_stats) {
+                st.commit(&p.capacities, p.result.clone(), run.clone());
+            }
+            st.skips = prior.stats;
+            st.waves = prior.waves;
+            st.speculative_evals = prior.speculative_evals;
+            st.search_legs = prior.search_legs;
+            st.seed_wins = prior.seed_wins;
         }
-
-        // The saturation rule needs the instrumented greedy search (the
-        // only strategy recording constraint masks and decision margins).
-        // The objective no longer disarms it: the energy weight below
-        // scales the gain-bound test, which is vacuous for cycles
-        // (weight 0) and margin-guarded otherwise.
-        let saturation_armed = config.strategy == SearchStrategy::Greedy;
-        // The signed energy weight: zero makes the gain landscape exactly
-        // capacity-independent (the classic cycles-only rule falls out as
-        // the degenerate case); a negative weight makes
-        // `RunStats::allows_energy_growth` refuse every nonzero
-        // perturbation (the one-sided margin rates do not cover that
-        // direction), leaving only bit-identical zero-delta replays.
-        let energy_weight = config.objective.energy_weight();
-        let improving = opts.mode == SearchMode::Improving;
-        // Improving commits must be strictly sequential: a wave member's
-        // innermost-axis seed is the member before it. Without a fan-out,
-        // a wider wave would only add discarded speculative evaluations.
-        let wave_cap = if improving || !opts.parallel {
-            1
-        } else {
-            PRUNE_WAVE
-        };
-
-        // A continuation rebuilds the committed state from the prior run:
-        // incumbents and improving seeds from its points, replay
-        // candidates from its checkpoint, counters carried forward.
-        let mut stats = prior.map_or(
-            PruneStats {
-                candidates: order.len(),
-                ..PruneStats::default()
+        let status = match self.run_waves(&order[start..], &SeedSource::Grid, &opts.budget, &mut st)
+        {
+            None => SweepStatus::Complete,
+            Some((cause, k)) => SweepStatus::Stopped {
+                cause,
+                next_lex: start + k,
             },
-            |p| p.stats,
-        );
-        let mut replayable: Vec<Replayable> =
-            prior.map_or_else(Vec::new, |p| p.checkpoint.replayable.clone());
-        let mut points: Vec<GridPoint> = prior.map_or_else(Vec::new, |p| p.sweep.points.clone());
-        let mut seen: Vec<Evaluated> = points
-            .iter()
-            .map(|p| Evaluated {
-                capacities: p.capacities.clone(),
-                cycles: p.cycles(),
-                energy_pj: p.energy_pj(),
-                score: config.objective.score(&p.result.assignment_cost),
-            })
-            .collect();
-        let mut waves = prior.map_or(0usize, |p| p.waves);
-        let mut speculative_evals = prior.map_or(0usize, |p| p.speculative_evals);
-        let mut search_legs = prior.map_or(0usize, |p| p.search_legs);
-        let mut seed_wins = prior.map_or(0usize, |p| p.seed_wins);
-        let mut seeds = SeedCache::new();
-        let mut last_committed: Option<Vec<u64>> = None;
-        if opts.mode == SearchMode::Improving {
-            for p in &points {
-                seeds.commit(&p.capacities, p.result.assignment.clone());
-            }
-            last_committed = points.last().map(|p| p.capacities.clone());
-        }
-        // Committed evaluations are what the budget counts; the prior
-        // run's are already paid for.
-        let base_evaluated = stats.evaluated;
-
-        // Per-candidate cost floors, memoized: a point's floor depends
-        // only on its capacities, but its skip rules can run several
-        // times (wave re-examinations, the commit re-check). The probe
-        // pre-folds every capacity-invariant input (access totals, CPU
-        // overhead, fixed-layer minima), so a memo miss is a handful of
-        // arithmetic ops — no resized platform, no cost model, no
-        // allocation — and bit-identical to the model's floor on the
-        // resized platform ([`FloorProbe`](crate::cost::FloorProbe)).
-        let floor_probe = self.ctx.floor_probe(self.platform, layers);
-        let mut floors: Vec<Option<crate::cost::CostFloor>> = vec![None; order.len()];
-        // The skip rules against the *committed* evaluations. Rule 1
-        // first, rule 2 second (the bookkeeping attributes a skip to the
-        // first rule that fires); the cold rule-2 energy scan only runs
-        // once the cycles scan has found a dominator — a miss on either
-        // side keeps the point.
-        let skip_rule = |i: usize,
-                         seen: &[Evaluated],
-                         replayable: &[Replayable],
-                         floors: &mut [Option<crate::cost::CostFloor>]| {
-            let caps: &[u64] = &order[i];
-            if saturation_armed
-                && replayable
-                    .iter()
-                    .any(|q| q.replays_at(caps, layers, energy_weight))
-            {
-                return Some(SkipRule::Saturated);
-            }
-            let floor = *floors[i].get_or_insert_with(|| floor_probe.floor_at(caps));
-            floor_dominated(seen, caps, &floor, improving.then_some(&config.objective))
-                .then_some(SkipRule::Floor)
         };
+        let stats = PruneStats {
+            candidates: order.len(),
+            evaluated: st.points.len(),
+            ..st.skips
+        };
+        Ok(PrunedGridSweep {
+            sweep: GridSweep {
+                layers: self.layers.to_vec(),
+                points: st.points,
+            },
+            stats,
+            waves: st.waves,
+            speculative_evals: st.speculative_evals,
+            search_legs: st.search_legs + st.speculative_legs,
+            seed_wins: st.seed_wins,
+            status,
+            checkpoint: Checkpoint::kept(status, st.run_stats),
+        })
+    }
 
-        let mut next = start;
-        let mut status = SweepStatus::Complete;
-        'waves: while next < order.len() {
-            // --- Wave selection: walk the lexicographic order from the
-            // cursor. While the wave is empty, every earlier point has
-            // been committed, so a skip decision here sees exactly the
-            // sequential loop's evaluated set and is final. Once a member
-            // is selected, later skips can no longer be finalized (the
-            // member's own result is pending) — the wave stops there and
-            // the point is re-examined next wave. Points merely
-            // capacity-dominated by a pending member do join the wave; if
-            // the member's commit turns out to enable their skip, the
-            // commit pass below discards their evaluation as speculative
-            // (measured: a handful per app on the default grid).
+    /// The skip rules of one pending point against the committed state:
+    /// saturation first ([`replay_grows_to`] from a committed run at
+    /// componentwise-smaller capacities), cost floor second
+    /// ([`floor_dominated`]); the rule that fired, if any. A certified
+    /// point is dominated on both result surfaces (the objective-score
+    /// surface in improving mode) by a committed point and needs no
+    /// search.
+    fn point_certified(&self, caps: &[u64], st: &mut SweepState) -> Option<SkipRule> {
+        let energy_weight = st.objective.energy_weight();
+        if st.saturation_armed
+            && st.masks.iter().any(|(q, run)| {
+                caps_dominate(q, caps) && replay_grows_to(q, run, caps, self.layers, energy_weight)
+            })
+        {
+            return Some(SkipRule::Saturated);
+        }
+        let floor = st.floor_cache.floor_at(caps);
+        floor_dominated(
+            &st.evaluated,
+            caps,
+            &floor,
+            st.improving.then_some(&st.objective),
+        )
+        .then_some(SkipRule::Floor)
+    }
+
+    /// One wave member's search: cold (and standalone-identical) in cold
+    /// mode; in improving mode the portfolio seeded from `source`. Wave
+    /// members of an improving run are alone in their wave, so every
+    /// seed is committed; the lex-predecessor seed is the last
+    /// *committed* point — skipped points have no result to seed from.
+    fn evaluate_member(
+        &self,
+        caps: &[u64],
+        source: &SeedSource<'_>,
+        st: &SweepState,
+    ) -> (MhlaResult, RunStats) {
+        if !st.improving {
+            return self.evaluate(caps, None);
+        }
+        match source {
+            SeedSource::Grid => {
+                let (result, run, _) =
+                    self.evaluate_improving(caps, &st.seeds, st.last_committed.as_deref());
+                (result, run)
+            }
+            SeedSource::Corners(parents) => {
+                let corners = parents.get(caps).map(Vec::as_slice).unwrap_or_default();
+                let refs = st.seeds.corner_seeds(corners, caps);
+                self.evaluate_with_seed_refs(caps, &refs)
+            }
+        }
+    }
+
+    /// The wave scheduler of the pruned sweep and of every refinement
+    /// pass: decides the lex-ordered `batch` point by point against the
+    /// committed state, exactly as a sequential loop would, in dominance
+    /// waves whose cold searches run in parallel (see
+    /// [`try_sweep_grid_pruned_with`]'s *Frontier waves*).
+    ///
+    /// Waves hold up to the state's `wave_cap` points. Replayed points (a resumed refinement's
+    /// prior commits) commit for free, ahead of the skip rules — the
+    /// prior run committed them at this position, so they must commit
+    /// again. The budget gates fresh searches only; skips and replays
+    /// stay free. A stop is final only on an empty wave, where the exact
+    /// committed count is known and every earlier point is decided, so
+    /// the stop point is the same for every wave size: `Some((cause, k))`
+    /// leaves `batch[..k]` decided and nothing after it committed.
+    fn run_waves(
+        &self,
+        batch: &[Vec<u64>],
+        source: &SeedSource<'_>,
+        budget: &ExploreBudget,
+        st: &mut SweepState,
+    ) -> Option<(StopCause, usize)> {
+        let mut next = 0;
+        while next < batch.len() {
+            // --- Wave selection: walk the batch from the cursor. While
+            // the wave is empty, every earlier point has been committed,
+            // so a decision here sees exactly the sequential loop's
+            // committed set and is final. Once a member is selected,
+            // later skips can no longer be finalized (the member's own
+            // result is pending) — the wave stops there and the point is
+            // re-examined next wave. Points merely capacity-dominated by a
+            // pending member do join the wave; if the member's commit
+            // turns out to enable their skip, the commit pass below
+            // discards their evaluation as speculative.
             let mut wave: Vec<usize> = Vec::new();
-            while next < order.len() && wave.len() < wave_cap {
-                match skip_rule(next, &seen, &replayable, &mut floors) {
-                    Some(rule) => {
-                        if !wave.is_empty() {
-                            break;
-                        }
-                        stats.record(rule);
-                        next += 1;
+            while next < batch.len() && wave.len() < st.wave_cap {
+                let caps = &batch[next];
+                let replayed = st.prior.contains_key(caps);
+                let rule = if replayed {
+                    None
+                } else {
+                    self.point_certified(caps, st)
+                };
+                if replayed || rule.is_some() {
+                    if !wave.is_empty() {
+                        break;
                     }
-                    None => {
-                        // The budget gates evaluations only — skips stay
-                        // free, before and after exhaustion. A stop is
-                        // *final* only on an empty wave, where the exact
-                        // committed count is known and every earlier
-                        // point is decided: the stop point is therefore
-                        // wave-invariant (pending members over-count by
-                        // at most their eventual speculative discards,
-                        // which merely pauses selection one round).
-                        if let Some(cause) =
-                            budget.stop(stats.evaluated - base_evaluated + wave.len())
-                        {
-                            if wave.is_empty() {
-                                status = SweepStatus::Stopped {
-                                    cause,
-                                    next_lex: next,
-                                };
-                                break 'waves;
-                            }
-                            break;
-                        }
-                        wave.push(next);
-                        next += 1;
+                    match rule {
+                        Some(rule) => st.skip(caps, rule),
+                        None => st.replay(caps),
                     }
+                    next += 1;
+                    continue;
                 }
+                if let Some(cause) = budget.stop(st.fresh + wave.len()) {
+                    if wave.is_empty() {
+                        return Some((cause, next));
+                    }
+                    break;
+                }
+                wave.push(next);
+                next += 1;
             }
             if wave.is_empty() {
                 continue; // the scan consumed pure skips up to the end
             }
-            waves += 1;
+            st.waves += 1;
 
-            // --- Evaluations of the wave, order-preserving: cold (and
-            // parallelizable — skip decisions commit below either way) in
-            // cold mode, seeded in improving mode (wave size 1, so every
-            // seed is committed; the lex-predecessor seed is the last
-            // *committed* point — skipped points have no result to seed
-            // from).
-            let cold = |&i: &usize| {
-                let (result, run) = self.evaluate(&order[i], None);
-                (result, run, None)
-            };
-            let runs: Vec<(MhlaResult, RunStats, Option<SeedOrigin>)> = if improving {
-                wave.iter()
-                    .map(|&i| self.evaluate_improving(&order[i], &seeds, last_committed.as_deref()))
-                    .collect()
-            } else if wave.len() > 1 {
-                wave.par_iter().map(cold).collect()
-            } else {
-                wave.iter().map(cold).collect()
-            };
+            // --- The wave's searches, order-preserving (a one-point wave
+            // runs inline: `rayon` spawns nothing for a single item).
+            let runs: Vec<(MhlaResult, RunStats)> = wave
+                .par_iter()
+                .map(|&i| self.evaluate_member(&batch[i], source, st))
+                .collect();
 
-            // --- Deterministic commit in lexicographic order. A member
-            // whose skip rules now fire (an earlier member's commit
-            // enabled them) is recorded as skipped and its speculative
-            // result discarded — exactly the sequential decision, since
-            // at this position every earlier point is committed.
+            // --- Deterministic commit in batch order. A member whose
+            // skip rules now fire (an earlier member's commit enabled
+            // them) is recorded as skipped and its speculative result
+            // discarded — exactly the sequential decision, since at this
+            // position every earlier point is committed.
             let mut committed_in_wave = false;
-            for (&i, (result, run, winner)) in wave.iter().zip(runs) {
-                search_legs += run.search_legs;
-                let capacities = order[i].clone();
+            for (&i, (result, run)) in wave.iter().zip(runs) {
+                let caps = &batch[i];
                 if committed_in_wave {
-                    if let Some(rule) = skip_rule(i, &seen, &replayable, &mut floors) {
-                        stats.record(rule);
-                        speculative_evals += 1;
+                    if let Some(rule) = self.point_certified(caps, st) {
+                        st.skip(caps, rule);
+                        st.speculative_evals += 1;
+                        st.speculative_legs += run.search_legs;
                         continue;
                     }
                 }
-                if saturation_armed {
-                    let growable: Vec<bool> =
-                        layers.iter().map(|&l| run.allows_growth_of(l)).collect();
-                    if growable.iter().any(|&g| g) {
-                        replayable.push(Replayable {
-                            capacities: capacities.clone(),
-                            growable,
-                            stats: run,
-                        });
-                    }
-                }
-                seed_wins += usize::from(winner.is_some());
-                if improving {
-                    seeds.commit(&capacities, result.assignment.clone());
-                    last_committed = Some(capacities.clone());
-                }
-                seen.push(Evaluated {
-                    capacities: capacities.clone(),
-                    cycles: result.mhla_te_cycles(),
-                    energy_pj: result.mhla_energy_pj(),
-                    score: config.objective.score(&result.assignment_cost),
-                });
-                stats.evaluated += 1;
-                points.push(GridPoint { capacities, result });
+                st.commit_fresh(caps, result, run);
                 committed_in_wave = true;
             }
         }
-
-        // Only a stopped run needs resume state; leaving it empty on
-        // completion keeps resumed-to-complete runs `PartialEq`-equal to
-        // uninterrupted ones.
-        let checkpoint = match status {
-            SweepStatus::Complete => PruneCheckpoint::default(),
-            SweepStatus::Stopped { .. } => PruneCheckpoint { replayable },
-        };
-        Ok(PrunedGridSweep {
-            sweep: GridSweep {
-                layers: layers.to_vec(),
-                points,
-            },
-            stats,
-            waves,
-            speculative_evals,
-            search_legs,
-            seed_wins,
-            status,
-            checkpoint,
-        })
+        None
     }
 }
 
@@ -2134,14 +2245,6 @@ impl<'e> SweepEngine<'e> {
 /// coarse axis interval gains up to `2^REFINE_DEPTH - 1` interior points,
 /// so the default three-axis grid4 lattice virtualizes 10⁵+ points.
 pub const REFINE_DEPTH: usize = 4;
-
-/// Lex-chunk size of the refinement batch scheduler: certification is
-/// re-decided against the committed state at every chunk boundary, so
-/// commits early in a wave certify corners later in it. A constant (not
-/// a core-count function) — chunk boundaries are part of the
-/// deterministic schedule that makes parallel, sequential and resumed
-/// runs bit-identical.
-pub const REFINE_CERT_CHUNK: usize = 32;
 
 /// Tuning knobs for [`try_sweep_grid_refined_with`].
 #[derive(Clone, PartialEq, Debug)]
@@ -2152,10 +2255,13 @@ pub struct RefineOptions {
     /// midpoints; exhausted ranges stop early), defining the *virtual
     /// fine lattice* the result's frontier is certified against.
     pub depth: usize,
-    /// Evaluate each corner batch on the `rayon` thread pool (cold mode
-    /// only — improving mode is strictly sequential). Cell decisions and
-    /// commits are ordered either way, so results are identical with and
-    /// without parallelism.
+    /// Run the coarse pass and every corner batch in dominance waves of
+    /// up to [`PRUNE_WAVE`] points whose searches run on the `rayon`
+    /// thread pool, exactly like [`PruneOptions::parallel`] (cold mode
+    /// only — improving mode is strictly sequential). Skip decisions and
+    /// commits are exact and ordered either way, so the points, the
+    /// [`RefineStats`] and the status are identical with and without
+    /// parallelism; only wall time changes.
     pub parallel: bool,
     /// The search mode (default [`SearchMode::Cold`], the canonical
     /// exhaustive-equivalence semantics). Under [`SearchMode::Improving`]
@@ -2208,7 +2314,8 @@ impl RefineOptions {
 /// Bookkeeping of one [`try_sweep_grid_refined_with`] run.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct RefineStats {
-    /// Points of the coarse (phase-0) lattice — all evaluated.
+    /// Points of the coarse lattice — each one decided by the coarse
+    /// pass (the pruned sweep: evaluated, or certified by its skip rules).
     pub coarse_points: usize,
     /// Points of the virtual fine lattice the frontier is certified
     /// against (the Cartesian product of the refined axes — never
@@ -2229,10 +2336,11 @@ pub struct RefineStats {
     /// Cells at maximal depth (or with no splittable axis): their box
     /// contains only corners, all evaluated or certified.
     pub cells_leaf: usize,
-    /// Pending corners certified dominated by the point-level skip rules
-    /// (a committed run's saturation mask with rejection floors, or the
-    /// corner's cost floor) and therefore never searched — the per-point
-    /// complement of the cell-level certificates.
+    /// Pending points (coarse-pass points and refined corners) certified
+    /// dominated by the pruned sweep's skip rules (a committed run's
+    /// saturation mask with rejection floors, or the point's cost floor)
+    /// and therefore never searched — the per-point complement of the
+    /// cell-level certificates.
     pub corners_certified: usize,
 }
 
@@ -2258,7 +2366,9 @@ pub struct RefinedGridSweep {
     /// Refinement waves executed (one classification pass plus one
     /// corner batch per wave).
     pub waves: usize,
-    /// Greedy search legs executed across fresh evaluations.
+    /// Greedy search legs of the committed fresh evaluations (wave
+    /// members discarded as speculative are not counted, so the figure
+    /// does not depend on the wave schedule).
     pub search_legs: usize,
     /// Points whose committed result came from a warm seed — always `0`
     /// in [`SearchMode::Cold`].
@@ -2271,7 +2381,7 @@ pub struct RefinedGridSweep {
     /// Resume state of a stopped run: the per-point [`RunStats`],
     /// aligned with `sweep.points`. Empty when complete, so
     /// resumed-to-complete runs compare equal to uninterrupted ones.
-    checkpoint: RefineCheckpoint,
+    checkpoint: Checkpoint,
 }
 
 impl RefinedGridSweep {
@@ -2300,22 +2410,13 @@ impl Explored for RefinedGridSweep {
             search_legs: 0,
             seed_wins: 0,
             status: SweepStatus::Complete,
-            checkpoint: RefineCheckpoint::default(),
+            checkpoint: Checkpoint::default(),
         }
     }
 
     fn is_complete(&self) -> bool {
         self.status.is_complete()
     }
-}
-
-/// What a stopped refinement carries to resume exactly: each committed
-/// point's [`RunStats`] (the saturation certificates need the constraint
-/// masks and rejection floors; everything else is rebuilt by re-running
-/// the deterministic scheduler with the committed points replayed).
-#[derive(Clone, PartialEq, Debug, Default)]
-struct RefineCheckpoint {
-    run_stats: Vec<RunStats>,
 }
 
 /// The refined (virtual fine) axis for one coarse axis: every coarse
@@ -2441,102 +2542,6 @@ fn initial_cells(coarse_axes: &[Vec<u64>]) -> Vec<RefineCell> {
     expand_segments(&windows, 0)
 }
 
-/// Where a refinement batch's improving-mode seeds come from: the
-/// committed grid neighbors (phase 0 — the coarse lattice behaves like
-/// the improving grid sweep) or the generating parent cell's committed
-/// corner assignments (refined corners).
-enum RefineSeeds<'m> {
-    Grid,
-    Corners(&'m BTreeMap<Vec<u64>, Vec<Vec<u64>>>),
-}
-
-/// The mutable committed state of one refinement run, threaded through
-/// the batches, plus the run's fixed certificate rules. `points` and
-/// `run_stats` stay aligned index for index; the lexicographic sort
-/// happens once at assembly.
-struct RefineState {
-    /// [`SearchMode::Improving`] is selected.
-    improving: bool,
-    /// The saturation certificates can arm (the instrumented greedy
-    /// search).
-    saturation_armed: bool,
-    /// The objective's energy weight (the gain-bound scale).
-    energy_weight: f64,
-    /// The configured objective.
-    objective: Objective,
-    /// The memoized cost floors of the run's points.
-    floor_cache: FloorCache,
-    /// Committed results of a resumed prior run, replayed for free.
-    replay: HashMap<Vec<u64>, (MhlaResult, RunStats)>,
-    /// Improving-mode committed assignments.
-    seeds: SeedCache,
-    /// Improving-mode lex-predecessor pointer (phase 0 only).
-    last_committed: Option<Vec<u64>>,
-    /// Floor-certificate incumbents.
-    evaluated: Vec<Evaluated>,
-    /// Saturation-certificate candidates: committed cold-kept tracked
-    /// runs (their constraint masks and rejection floors).
-    masks: Vec<(Vec<u64>, RunStats)>,
-    points: Vec<GridPoint>,
-    run_stats: Vec<RunStats>,
-    /// Committed capacity vectors (corner dedup across cells).
-    seen: HashSet<Vec<u64>>,
-    /// Corners certified dominated by the point-level skip rules —
-    /// decided without a search, never committed. Certification only
-    /// depends on committed state, which only grows, so membership is
-    /// permanent.
-    covered: HashSet<Vec<u64>>,
-    /// Fresh searches this call — what the budget counts.
-    fresh: usize,
-    seed_wins: usize,
-    search_legs: usize,
-}
-
-impl RefineState {
-    /// Commits the resumed prior run's result at `caps`, if it has one —
-    /// free, like every replay. Returns whether it did.
-    fn replay(&mut self, caps: &[u64]) -> bool {
-        let Some((result, run)) = self.replay.get(caps).cloned() else {
-            return false;
-        };
-        self.commit(caps, result, run);
-        true
-    }
-
-    /// Commits a freshly searched point (counted against the budget and
-    /// in the leg/seed-win bookkeeping).
-    fn commit_fresh(&mut self, caps: &[u64], result: MhlaResult, run: RunStats, seed_win: bool) {
-        self.fresh += 1;
-        self.search_legs += run.search_legs;
-        self.seed_wins += usize::from(seed_win);
-        self.commit(caps, result, run);
-    }
-
-    /// Commits one point: certificate candidates, improving seeds,
-    /// incumbents and the result itself.
-    fn commit(&mut self, caps: &[u64], result: MhlaResult, run: RunStats) {
-        if self.saturation_armed && run.tracked && run.cold_result_kept {
-            self.masks.push((caps.to_vec(), run.clone()));
-        }
-        if self.improving {
-            self.seeds.commit(caps, result.assignment.clone());
-            self.last_committed = Some(caps.to_vec());
-        }
-        self.evaluated.push(Evaluated {
-            capacities: caps.to_vec(),
-            cycles: result.mhla_te_cycles(),
-            energy_pj: result.mhla_energy_pj(),
-            score: self.objective.score(&result.assignment_cost),
-        });
-        self.seen.insert(caps.to_vec());
-        self.run_stats.push(run);
-        self.points.push(GridPoint {
-            capacities: caps.to_vec(),
-            result,
-        });
-    }
-}
-
 /// Whether a committed run's saturation certificate covers the whole
 /// cell: its capacities are componentwise ≤ the cell's minimal corner
 /// and growth to the maximal corner is provably replayable on every
@@ -2559,215 +2564,15 @@ fn mask_covers(
     })
 }
 
-/// The growth half of the saturation certificates: whether the committed
-/// (tracked, cold-kept) run at `qcaps` provably replays when every axis
-/// grows to `to` — each changed axis growable
-/// ([`RunStats::allows_growth_to`], which extends the constraint masks
-/// with the recorded per-layer rejection floors) inside one scratchpad
-/// latency class, and the summed write-energy deltas within the run's
-/// gain margins. All three conditions are monotone in the target
-/// capacities, so a pass at `to` extends to every point between `qcaps`
-/// and `to`.
-fn replay_grows_to(
-    qcaps: &[u64],
-    run: &RunStats,
-    to: &[u64],
-    layers: &[LayerId],
-    energy_weight: f64,
-) -> bool {
-    qcaps.iter().zip(to).enumerate().all(|(a, (&q, &t))| {
-        q == t
-            || (run.allows_growth_to(layers[a], t)
-                && sram_access_cycles(q) == sram_access_cycles(t))
-    }) && run.allows_energy_growth(
-        qcaps
-            .iter()
-            .zip(to)
-            .enumerate()
-            .filter(|(_, (q, t))| q != t)
-            .map(|(a, (&q, &t))| (layers[a], scratchpad_energy_delta_pj(q, t))),
-        energy_weight,
-    )
-}
-
 impl<'e> SweepEngine<'e> {
-    /// The point-level certification of one pending corner against the
-    /// committed state — exactly [`try_sweep_grid_pruned_with`]'s two skip rules
-    /// (saturation first, cost floor second), with the saturation rule
-    /// extended by the per-layer rejection floors
-    /// ([`replay_grows_to`]). A certified corner is dominated on both
-    /// result surfaces (the objective-score surface in improving mode)
-    /// by a committed point and needs no search.
-    fn point_certified(&self, caps: &[u64], st: &mut RefineState) -> bool {
-        if st.saturation_armed
-            && st.masks.iter().any(|(q, run)| {
-                caps_dominate(q, caps)
-                    && replay_grows_to(q, run, caps, self.layers, st.energy_weight)
-            })
-        {
-            return true;
-        }
-        let floor = st.floor_cache.floor_at(caps);
-        floor_dominated(
-            &st.evaluated,
-            caps,
-            &floor,
-            st.improving.then_some(&st.objective),
-        )
-    }
-
-    /// Evaluates one lex-ordered batch of refinement points, committing
-    /// in batch order. Returns `Some(cause)` when the budget stopped the
-    /// batch mid-way — everything committed so far is final, the rest of
-    /// the batch is undecided.
-    ///
-    /// Replayed points (from a resumed prior run) are free, and so are
-    /// corners certified by the point-level skip rules. The batch is
-    /// processed in fixed [`REFINE_CERT_CHUNK`]-point lex chunks:
-    /// certification is decided against the state committed *before the
-    /// chunk*, so commits in one chunk certify points in the next —
-    /// and, because the chunk boundaries are a constant, the decisions
-    /// are identical for every parallel/sequential schedule and across
-    /// resumes. The budget counts fresh searches only. Cold parallel
-    /// chunks enforce `max_evals` by deterministic truncation and poll
-    /// the wall clock through a [`TripFlag`], mirroring the pruned
-    /// sweep's chunked scheduler; commits stop at the first uncommitted
-    /// gap so the committed set is always a lex prefix of the batch's
-    /// searched points.
-    fn refine_eval_batch(
-        &self,
-        batch: &[Vec<u64>],
-        seeds_from: &RefineSeeds<'_>,
-        opts: &RefineOptions,
-        st: &mut RefineState,
-    ) -> Option<StopCause> {
-        batch
-            .chunks(REFINE_CERT_CHUNK)
-            .find_map(|chunk| self.refine_eval_chunk(chunk, seeds_from, opts, st))
-    }
-
-    /// One fixed-size chunk of [`refine_eval_batch`]: certification
-    /// against the chunk-start state, then evaluation and in-order
-    /// commits.
-    #[allow(clippy::too_many_lines)]
-    fn refine_eval_chunk(
-        &self,
-        batch: &[Vec<u64>],
-        seeds_from: &RefineSeeds<'_>,
-        opts: &RefineOptions,
-        st: &mut RefineState,
-    ) -> Option<StopCause> {
-        let improving = st.improving;
-        let budget = &opts.budget;
-
-        // Certification pass, upfront against the chunk-start state: a
-        // certified corner is skipped below exactly where a prune skip
-        // would be, for free. Replays win over certification — a point
-        // the prior run committed must commit again.
-        let mut certified = vec![false; batch.len()];
-        for (i, caps) in batch.iter().enumerate() {
-            if st.replay.contains_key(caps) {
-                continue;
-            }
-            if self.point_certified(caps, st) {
-                certified[i] = true;
-            }
-        }
-        for (i, caps) in batch.iter().enumerate() {
-            if certified[i] {
-                st.covered.insert(caps.clone());
-            }
-        }
-
-        if improving || !opts.parallel {
-            for (i, caps) in batch.iter().enumerate() {
-                if certified[i] || st.replay(caps) {
-                    continue;
-                }
-                if let Some(cause) = budget.stop(st.fresh) {
-                    return Some(cause);
-                }
-                let (result, run, seed_win) = if improving {
-                    match seeds_from {
-                        RefineSeeds::Grid => {
-                            let (result, run, winner) = self.evaluate_improving(
-                                caps,
-                                &st.seeds,
-                                st.last_committed.as_deref(),
-                            );
-                            (result, run, winner.is_some())
-                        }
-                        RefineSeeds::Corners(parents) => {
-                            let (result, run) = {
-                                let corners =
-                                    parents.get(caps).map(Vec::as_slice).unwrap_or_default();
-                                let refs = st.seeds.corner_seeds(corners, caps);
-                                self.evaluate_with_seed_refs(caps, &refs)
-                            };
-                            let seed_win = run.winning_seed.is_some();
-                            (result, run, seed_win)
-                        }
-                    }
-                } else {
-                    let (result, run) = self.evaluate(caps, None);
-                    (result, run, false)
-                };
-                st.commit_fresh(caps, result, run, seed_win);
-            }
-            return None;
-        }
-
-        // Cold parallel: fresh evaluations truncated to the remaining
-        // deterministic allowance, wall-clock limits through the trip
-        // flag.
-        let fresh_idx: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter(|&(i, caps)| !certified[i] && !st.replay.contains_key(caps))
-            .map(|(i, _)| i)
-            .collect();
-        let allowed = budget.max_evals.map_or(fresh_idx.len(), |m| {
-            fresh_idx.len().min(m.saturating_sub(st.fresh))
-        });
-        let timed = budget.is_timed();
-        let trip = TripFlag::new();
-        let evaluated: Vec<(usize, Option<(MhlaResult, RunStats)>)> = fresh_idx[..allowed]
-            .par_iter()
-            .map(|&i| {
-                if timed {
-                    if trip.tripped() {
-                        return (i, None);
-                    }
-                    if let Some(cause) = budget.stop_timed() {
-                        trip.trip(cause);
-                        return (i, None);
-                    }
-                }
-                let (result, run) = self.evaluate(&batch[i], None);
-                (i, Some((result, run)))
-            })
-            .collect();
-        let mut results: HashMap<usize, Option<(MhlaResult, RunStats)>> =
-            evaluated.into_iter().collect();
-        for (i, caps) in batch.iter().enumerate() {
-            if certified[i] || st.replay(caps) {
-                continue;
-            }
-            match results.remove(&i) {
-                Some(Some((result, run))) => st.commit_fresh(caps, result, run, false),
-                Some(None) => return Some(trip.cause().unwrap_or(StopCause::Deadline)),
-                None => return Some(StopCause::MaxEvals),
-            }
-        }
-        None
-    }
-
     /// The adaptive refinement scheduler (the body of
-    /// [`try_sweep_grid_refined_with`]): phase 0 evaluates the coarse
-    /// lattice, then refinement waves classify every open cell against
-    /// the state committed *before* the wave — saturation certificate
-    /// first, cost-floor certificate second, split third — and evaluate
-    /// the new child corners as one lex-sorted batch.
+    /// [`try_sweep_grid_refined_with`]): the coarse pass is the pruned
+    /// sweep of the coarse lattice (the wave scheduler over it in
+    /// lexicographic order), then refinement waves classify every open
+    /// cell against the state committed *before* the wave — saturation
+    /// certificate first, cost-floor certificate second, split third —
+    /// and hand the new child corners, lex-sorted, to the same wave
+    /// scheduler.
     ///
     /// The engine's `axis_caps` are the *fine* axes (improving-mode
     /// neighbor seeds resolve on them); `coarse_axes` are the caller's
@@ -2786,32 +2591,14 @@ impl<'e> SweepEngine<'e> {
     ) -> RefinedGridSweep {
         let config = self.ctx.config();
         let layers = self.layers;
-        let improving = opts.mode == SearchMode::Improving;
-        let saturation_armed = config.strategy == SearchStrategy::Greedy;
         let energy_weight = config.objective.energy_weight();
-
-        let mut st = RefineState {
-            improving,
-            saturation_armed,
-            energy_weight,
-            objective: config.objective,
-            floor_cache: FloorCache::new(self.ctx.floor_probe(self.platform, layers)),
-            replay: HashMap::new(),
-            seeds: SeedCache::new(),
-            last_committed: None,
-            evaluated: Vec::new(),
-            masks: Vec::new(),
-            points: Vec::new(),
-            run_stats: Vec::new(),
-            seen: HashSet::new(),
-            covered: HashSet::new(),
-            fresh: 0,
-            seed_wins: prior.map_or(0, |p| p.seed_wins),
-            search_legs: prior.map_or(0, |p| p.search_legs),
-        };
+        let mut st = self.sweep_state(opts.mode, opts.parallel);
+        let improving = st.improving;
         if let Some(p) = prior {
+            st.seed_wins = p.seed_wins;
+            st.search_legs = p.search_legs;
             for (pt, run) in p.sweep.points.iter().zip(&p.checkpoint.run_stats) {
-                st.replay
+                st.prior
                     .insert(pt.capacities.clone(), (pt.result.clone(), run.clone()));
             }
         }
@@ -2826,10 +2613,11 @@ impl<'e> SweepEngine<'e> {
         };
         let mut waves = 0usize;
 
-        // Phase 0: the coarse lattice, in lexicographic order.
+        // The coarse pass: the pruned sweep of the coarse lattice.
         let coarse = cartesian(coarse_axes);
         stats.coarse_points = coarse.len();
-        if let Some(cause) = self.refine_eval_batch(&coarse, &RefineSeeds::Grid, opts, &mut st) {
+        if let Some((cause, _)) = self.run_waves(&coarse, &SeedSource::Grid, &opts.budget, &mut st)
+        {
             let next_lex = st.points.len();
             return self.assemble_refined(
                 st,
@@ -2870,7 +2658,7 @@ impl<'e> SweepEngine<'e> {
             let mut next_open: Vec<RefineCell> = Vec::new();
             let mut pending: BTreeMap<Vec<u64>, Vec<Vec<u64>>> = BTreeMap::new();
             for cell in &open {
-                if saturation_armed && mask_covers(cell, &st.masks, layers, energy_weight) {
+                if st.saturation_armed && mask_covers(cell, &st.masks, layers, energy_weight) {
                     stats.cells_closed_mask += 1;
                     continue;
                 }
@@ -2901,7 +2689,7 @@ impl<'e> SweepEngine<'e> {
                         stats.cells_opened += 1;
                         for child in children {
                             for corner in child.corners() {
-                                if !st.seen.contains(&corner) && !st.covered.contains(&corner) {
+                                if !st.decided.contains(&corner) {
                                     pending.entry(corner).or_insert_with(|| cell.corners());
                                 }
                             }
@@ -2912,9 +2700,8 @@ impl<'e> SweepEngine<'e> {
                 }
             }
             let batch: Vec<Vec<u64>> = pending.keys().cloned().collect();
-            if let Some(cause) =
-                self.refine_eval_batch(&batch, &RefineSeeds::Corners(&pending), opts, &mut st)
-            {
+            let source = SeedSource::Corners(&pending);
+            if let Some((cause, _)) = self.run_waves(&batch, &source, &opts.budget, &mut st) {
                 let next_lex = st.points.len();
                 status = SweepStatus::Stopped { cause, next_lex };
                 break;
@@ -2930,21 +2717,17 @@ impl<'e> SweepEngine<'e> {
     /// stop.
     fn assemble_refined(
         &self,
-        st: RefineState,
+        st: SweepState,
         mut stats: RefineStats,
         waves: usize,
         status: SweepStatus,
     ) -> RefinedGridSweep {
         stats.evaluated = st.points.len();
-        stats.corners_certified = st.covered.len();
+        stats.corners_certified = st.skips.skipped();
         let mut zipped: Vec<(GridPoint, RunStats)> =
             st.points.into_iter().zip(st.run_stats).collect();
         zipped.sort_by(|a, b| a.0.capacities.cmp(&b.0.capacities));
         let (points, run_stats): (Vec<GridPoint>, Vec<RunStats>) = zipped.into_iter().unzip();
-        let checkpoint = match status {
-            SweepStatus::Complete => RefineCheckpoint::default(),
-            SweepStatus::Stopped { .. } => RefineCheckpoint { run_stats },
-        };
         RefinedGridSweep {
             sweep: GridSweep {
                 layers: self.layers.to_vec(),
@@ -2955,14 +2738,16 @@ impl<'e> SweepEngine<'e> {
             search_legs: st.search_legs,
             seed_wins: st.seed_wins,
             status,
-            checkpoint,
+            checkpoint: Checkpoint::kept(status, run_stats),
         }
     }
 }
 
-/// The adaptive frontier-driven refinement sweep: evaluates the coarse
-/// grid, then recursively subdivides only the capacity cells that can
-/// still change the Pareto front, until the virtual fine lattice
+/// The adaptive frontier-driven refinement sweep: runs the pruned sweep
+/// of the coarse grid ([`try_sweep_grid_pruned_with`] — the same
+/// scheduler and skip rules, so the same points and results), then
+/// recursively subdivides only the capacity cells that can still change
+/// the Pareto front, until the virtual fine lattice
 /// (`2^`[`REFINE_DEPTH`] interior points per coarse interval per axis)
 /// is reached or closed. A cell is closed without subdivision only under
 /// a certificate — mirroring [`try_sweep_grid_pruned_with`]'s two skip rules,
@@ -2979,8 +2764,11 @@ impl<'e> SweepEngine<'e> {
 ///    is already dominated by committed points on both the cycles and
 ///    the energy surface ([`pareto::covers`]).
 ///
-/// Both certificates only ever close boxes whose every unevaluated point
-/// is dominated by a *committed* point, so — by the same transitivity
+/// The corners of each wave's split cells go through the pruned sweep's
+/// wave scheduler in lexicographic order: each is certified by the
+/// point-wise skip rules or searched. Both certificates only ever close
+/// boxes whose every unevaluated point is dominated by a *committed*
+/// point, so — by the same transitivity
 /// argument as the pruned sweep — the result's Pareto accessors select,
 /// bit for bit, the frontier of the exhaustive virtual fine lattice
 /// (`tests/refine_equivalence.rs`), at a small fraction of its

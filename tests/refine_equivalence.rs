@@ -4,20 +4,24 @@
 //! * **Scale**: on all nine applications over the default four-level
 //!   grid, the refined sweep certifies a virtual fine lattice of 10⁵+
 //!   capacity points per app while evaluating at most 5 % of it, and
-//!   completes unbudgeted.
+//!   completes unbudgeted. Its coarse pass is the pruned sweep: the
+//!   refined points on the coarse lattice are exactly the pruned sweep's
+//!   points.
 //! * **Exactness**: on a small instance whose fine lattice is still
 //!   exhaustible, the refined Pareto frontiers (cycles and energy) are
 //!   *bit-identical* — same capacity vectors, same full `MhlaResult`s —
 //!   to the exhaustive sweep of the materialized fine lattice, under all
-//!   three objectives; a budget-interrupted refinement resumed to
-//!   completion equals the uninterrupted run bit for bit.
+//!   three objectives; parallel and sequential refinements agree; a
+//!   budget-interrupted refinement resumed to completion equals the
+//!   uninterrupted run bit for bit.
 //!
 //! `MHLA_SWEEP_PARALLEL=0` runs the suite in sequential mode (the CI
 //! leg); malformed values are rejected loudly.
 
 use mhla::core::explore::{
-    refine_axis, try_sweep_grid_refined_resume, try_sweep_grid_refined_with, try_sweep_grid_run,
-    ExploreBudget, GridAxis, GridSweep, RefineOptions, RefinedGridSweep, SweepOptions,
+    refine_axis, try_sweep_grid_pruned_with, try_sweep_grid_refined_resume,
+    try_sweep_grid_refined_with, try_sweep_grid_run, ExploreBudget, GridAxis, GridPoint, GridSweep,
+    PruneOptions, RefineOptions, RefinedGridSweep, SweepOptions,
 };
 use mhla::core::{MhlaConfig, Objective};
 use mhla::hierarchy::{LayerId, Platform};
@@ -130,14 +134,16 @@ fn assert_exact(name: &str, full: &GridSweep, refined: &RefinedGridSweep) {
 fn refined_lattice_exceeds_1e5_points_with_under_5_percent_evals_on_all_nine_apps() {
     let axes = default_grid4_axes();
     let opts = refine_opts_from_env();
+    let pf = Platform::four_level_default();
+    let config = MhlaConfig::default();
+    let on_coarse_lattice = |p: &&GridPoint| {
+        p.capacities
+            .iter()
+            .zip(&axes)
+            .all(|(c, axis)| axis.capacities.contains(c))
+    };
     for app in mhla_apps::all_apps() {
-        let refined = refined(
-            &app.program,
-            &Platform::four_level_default(),
-            &axes,
-            &MhlaConfig::default(),
-            &opts,
-        );
+        let refined = refined(&app.program, &pf, &axes, &config, &opts);
         assert!(refined.status.is_complete(), "{}", app.name());
         assert!(
             refined.stats.virtual_points >= 100_000,
@@ -166,6 +172,32 @@ fn refined_lattice_exceeds_1e5_points_with_under_5_percent_evals_on_all_nine_app
             "{}: no cell was ever certified closed",
             app.name()
         );
+        // The coarse pass is the pruned sweep: same points, same results.
+        let pruned = try_sweep_grid_pruned_with(
+            &app.program,
+            &pf,
+            &axes,
+            &config,
+            &PruneOptions::with_parallel(opts.parallel),
+        )
+        .expect("pruned sweep");
+        let coarse: Vec<&GridPoint> = refined
+            .sweep
+            .points
+            .iter()
+            .filter(on_coarse_lattice)
+            .collect();
+        assert_eq!(
+            coarse.len(),
+            pruned.stats.evaluated,
+            "{}: coarse-pass commits",
+            app.name()
+        );
+        assert!(
+            coarse.iter().copied().eq(&pruned.sweep.points),
+            "{}: the refinement's coarse pass diverges from the pruned sweep",
+            app.name()
+        );
     }
 }
 
@@ -180,15 +212,31 @@ fn refined_small_instance_is_bit_identical_to_the_exhaustive_fine_lattice() {
                 objective,
                 ..MhlaConfig::default()
             };
-            let refined = refined(
-                &app.program,
-                &pf,
-                &axes,
-                &config,
-                &refine_opts_from_env().depth(depth),
-            );
+            let opts = refine_opts_from_env().depth(depth);
+            // `parallel` changes wall time only.
+            let flipped = RefineOptions::with_parallel(!opts.parallel).depth(depth);
+            let other = refined(&app.program, &pf, &axes, &config, &flipped);
+            let refined = refined(&app.program, &pf, &axes, &config, &opts);
             let full = exhaustive_fine(&app.program, &pf, &axes, depth, &config);
             assert_exact(app.name(), &full, &refined);
+            assert_eq!(
+                other.sweep,
+                refined.sweep,
+                "{}: parallel vs sequential",
+                app.name()
+            );
+            assert_eq!(
+                other.stats,
+                refined.stats,
+                "{}: parallel vs sequential",
+                app.name()
+            );
+            assert_eq!(
+                other.status,
+                refined.status,
+                "{}: parallel vs sequential",
+                app.name()
+            );
         }
     }
 }
